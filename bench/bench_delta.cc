@@ -35,6 +35,7 @@
 
 #include "bench_common.h"
 #include "query/pattern_parser.h"
+#include "server/catalog.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "storage/delta_log.h"
@@ -221,9 +222,13 @@ int main() {
   // multiplexes every connection over the pool, so the refresher gets
   // served promptly even with all workers oversubscribed.
   config.num_workers = 2;
-  config.delta_path = delta_log;
-  config.base_checksum = info->stored_checksum;
-  server::QueryServer server(*warm->engine, config);
+  auto catalog = std::make_shared<server::EngineCatalog>();
+  catalog->set_cache_bytes(server::kDefaultResultCacheBytes);
+  server::EngineSource source;
+  source.delta_path = delta_log;
+  catalog->AdoptEngine("default", *warm->engine, std::move(source),
+                       info->stored_checksum);
+  server::QueryServer server(catalog, config);
   if (!server.Start(&error)) {
     std::fprintf(stderr, "cannot start server: %s\n", error.c_str());
     return 1;

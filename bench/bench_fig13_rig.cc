@@ -32,7 +32,9 @@ VariantRow RunVariant(const GmEngine& engine, const Graph& g,
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f%%", pct);
   return {buf,
-          FormatSeconds(r.prefilter_ms + r.rig_select_ms + r.rig_expand_ms),
+          FormatSeconds(r.PhaseMs(PhaseKind::kPrefilter) +
+                        r.PhaseMs(PhaseKind::kSimulate) +
+                        r.PhaseMs(PhaseKind::kBuildRig)),
           FormatSeconds(total_ms)};
 }
 

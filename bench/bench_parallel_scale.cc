@@ -60,7 +60,7 @@ int main() {
       double ms = TimeMs([&] { r = engine.Evaluate(q, opts); });
       if (threads == 1) base_ms = ms;
       table.AddRow({std::to_string(threads), FormatSeconds(ms),
-                    FormatSeconds(r.enumerate_ms), Ratio(base_ms, ms),
+                    FormatSeconds(r.EnumerateMs()), Ratio(base_ms, ms),
                     std::to_string(r.num_occurrences)});
     }
     table.Print();

@@ -145,7 +145,10 @@ int main() {
                        ".sock"))
                          .string();
   config.num_workers = num_clients;
-  server::QueryServer server(engine, config);
+  auto catalog = std::make_shared<server::EngineCatalog>();
+  catalog->set_cache_bytes(server::kDefaultResultCacheBytes);
+  catalog->AdoptEngine("default", engine);
+  server::QueryServer server(catalog, config);
   std::string error;
   if (!server.Start(&error)) {
     std::fprintf(stderr, "cannot start server: %s\n", error.c_str());
@@ -316,9 +319,13 @@ int main() {
   server::ServerConfig rc_config;
   rc_config.unix_path = config.unix_path + ".rc";
   rc_config.num_workers = num_clients;
-  rc_config.delta_path = rc_delta;
-  rc_config.base_checksum = rc_info->stored_checksum;
-  server::QueryServer rc_server(engine, rc_config);
+  auto rc_catalog = std::make_shared<server::EngineCatalog>();
+  rc_catalog->set_cache_bytes(server::kDefaultResultCacheBytes);
+  server::EngineSource rc_source;
+  rc_source.delta_path = rc_delta;
+  rc_catalog->AdoptEngine("default", engine, std::move(rc_source),
+                          rc_info->stored_checksum);
+  server::QueryServer rc_server(rc_catalog, rc_config);
   if (!rc_server.Start(&error)) {
     std::fprintf(stderr, "cannot start cache server: %s\n", error.c_str());
     return 1;

@@ -171,10 +171,8 @@ class Bitmap {
   /// Appends a binary image to `sink`, container-at-a-time: each container
   /// is dumped as a single raw block in its native encoding, so
   /// (de)serialization is memcpy-bound rather than element-at-a-time (the
-  /// property the RoaringBitmap design is built for). Run containers are
-  /// emitted natively when `sink.encode_runs()` (snapshot format v3) and
-  /// materialized as array/bitset blocks otherwise (v1/v2 images). Read
-  /// back with Deserialize.
+  /// property the RoaringBitmap design is built for), run containers as
+  /// their (start, length) pairs. Read back with Deserialize.
   void Serialize(ByteSink& sink) const;
 
   /// Decodes an image written by Serialize. On malformed input `src.ok()`

@@ -8,7 +8,7 @@ void EvalContext::NoteQuery(const GmResult& result) {
   ++queries_evaluated_;
   occurrences_emitted_ += result.num_occurrences;
   matching_ms_ += result.MatchingMs();
-  enumerate_ms_ += result.enumerate_ms;
+  enumerate_ms_ += result.EnumerateMs();
 }
 
 std::string EvalContext::Summary() const {

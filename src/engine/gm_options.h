@@ -44,8 +44,27 @@ struct GmOptions {
   uint32_t num_threads = 1;
 };
 
-/// Name/duration pair for one pipeline phase (engine/pipeline.h). The name
-/// points at a static string owned by the phase object.
+/// The stages of the GM chain (Sections 3-6), in execution order:
+///   Reduce    — transitive reduction of the query (Section 3),
+///   Prefilter — seed candidate sets: ms(q) or the Chen/Zeng pre-filter,
+///   Simulate  — double simulation refines the seeds into cos(q),
+///   BuildRig  — expand cos(q) into RIG edges (Algorithm 4),
+///   Order     — search-order selection over RIG statistics (Section 5.2),
+///   Enumerate — MJoin, sequential or parallel (Section 5 / Section 6).
+/// The phases themselves live in engine/pipeline.h.
+enum class PhaseKind : uint8_t {
+  kReduce,
+  kPrefilter,
+  kSimulate,
+  kBuildRig,
+  kOrder,
+  kEnumerate,
+};
+
+const char* PhaseKindName(PhaseKind kind);
+
+/// Name/duration pair for one pipeline phase. The name is
+/// PhaseKindName(kind) of the phase that ran.
 struct PhaseTiming {
   const char* name = "";
   double ms = 0.0;
@@ -56,25 +75,20 @@ struct GmResult {
   uint64_t num_occurrences = 0;
   bool hit_limit = false;
 
-  // Phase timings (milliseconds). "matching" = reduction + filtering + RIG +
-  // ordering; "enumeration" = the MJoin run — the two components the paper's
-  // Metrics section reports.
-  double reduction_ms = 0.0;
-  double prefilter_ms = 0.0;
-  double rig_select_ms = 0.0;
-  double rig_expand_ms = 0.0;
-  double order_ms = 0.0;
-  double enumerate_ms = 0.0;
-  double MatchingMs() const {
-    return reduction_ms + prefilter_ms + rig_select_ms + rig_expand_ms +
-           order_ms;
-  }
-  double TotalMs() const { return MatchingMs() + enumerate_ms; }
-
   /// Wall-clock per executed pipeline phase, in execution order (one entry
   /// per Phase the QueryPipeline ran; phases skipped by the empty-RIG
-  /// shortcut are absent).
+  /// shortcut are absent). The only record of phase timings: the
+  /// accessors below are derived from it.
   std::vector<PhaseTiming> phase_timings;
+
+  /// Milliseconds spent in phase `kind`; 0 when it did not run.
+  double PhaseMs(PhaseKind kind) const;
+  /// "matching" = every phase before enumeration (reduction + filtering +
+  /// RIG + ordering); "enumeration" = the MJoin run — the two components
+  /// the paper's Metrics section reports.
+  double EnumerateMs() const { return PhaseMs(PhaseKind::kEnumerate); }
+  double MatchingMs() const { return TotalMs() - EnumerateMs(); }
+  double TotalMs() const;
 
   uint64_t rig_nodes = 0;
   uint64_t rig_edges = 0;

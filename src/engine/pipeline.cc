@@ -1,6 +1,7 @@
 #include "engine/pipeline.h"
 
 #include <chrono>
+#include <cstring>
 #include <utility>
 
 #include "engine/eval_context.h"
@@ -35,11 +36,9 @@ class ReducePhase : public Phase {
  public:
   PhaseKind kind() const override { return PhaseKind::kReduce; }
   void Run(EvalContext&, PipelineState& s) const override {
-    auto t0 = Clock::now();
     s.reduced = s.opts.use_transitive_reduction
                     ? QueryTransitiveReduction(*s.query)
                     : *s.query;
-    s.result.reduction_ms = MsSince(t0);
     s.result.reduced_query_edges = s.reduced.NumEdges();
   }
 };
@@ -50,11 +49,9 @@ class PrefilterPhase : public Phase {
  public:
   PhaseKind kind() const override { return PhaseKind::kPrefilter; }
   void Run(EvalContext& ctx, PipelineState& s) const override {
-    auto t0 = Clock::now();
     s.candidates = s.opts.use_prefilter
                        ? PreFilter(ctx.match_context(), s.reduced, s.opts.sim)
                        : InitialMatchSets(ctx.graph(), s.reduced);
-    s.result.prefilter_ms = MsSince(t0);
   }
 };
 
@@ -67,7 +64,6 @@ class SimulatePhase : public Phase {
     s.candidates =
         SelectRigNodes(ctx.match_context(), s.reduced, std::move(s.candidates),
                        RigOptionsFrom(s.opts), &s.result.rig_stats);
-    s.result.rig_select_ms = s.result.rig_stats.select_ms;
   }
 };
 
@@ -80,7 +76,6 @@ class BuildRigPhase : public Phase {
                             std::move(s.candidates), RigOptionsFrom(s.opts),
                             ctx.intervals(), &s.result.rig_stats));
     s.candidates.clear();
-    s.result.rig_expand_ms = s.result.rig_stats.expand_ms;
     s.result.rig_nodes = s.rig->TotalNodes();
     s.result.rig_edges = s.rig->TotalEdges();
     s.result.rig_memory_bytes = s.rig->MemoryBytes();
@@ -97,10 +92,8 @@ class OrderPhase : public Phase {
  public:
   PhaseKind kind() const override { return PhaseKind::kOrder; }
   void Run(EvalContext&, PipelineState& s) const override {
-    auto t0 = Clock::now();
     s.result.order_used = ComputeSearchOrder(s.reduced, *s.rig, s.opts.order,
                                              &s.result.order_stats);
-    s.result.order_ms = MsSince(t0);
   }
 };
 
@@ -110,7 +103,6 @@ class EnumeratePhase : public Phase {
  public:
   PhaseKind kind() const override { return PhaseKind::kEnumerate; }
   void Run(EvalContext&, PipelineState& s) const override {
-    auto t0 = Clock::now();
     if (s.opts.num_threads == 1) {
       MJoinOptions mopts;
       mopts.limit = s.opts.limit;
@@ -125,7 +117,6 @@ class EnumeratePhase : public Phase {
           MJoinParallel(s.reduced, *s.rig, s.result.order_used, s.sink, popts,
                         &s.result.mjoin_stats);
     }
-    s.result.enumerate_ms = MsSince(t0);
     s.result.hit_limit = s.result.num_occurrences >= s.opts.limit;
   }
 };
@@ -148,6 +139,21 @@ const char* PhaseKindName(PhaseKind kind) {
       return "Enumerate";
   }
   return "?";
+}
+
+double GmResult::PhaseMs(PhaseKind kind) const {
+  const char* name = PhaseKindName(kind);
+  double ms = 0.0;
+  for (const PhaseTiming& pt : phase_timings) {
+    if (std::strcmp(pt.name, name) == 0) ms += pt.ms;
+  }
+  return ms;
+}
+
+double GmResult::TotalMs() const {
+  double ms = 0.0;
+  for (const PhaseTiming& pt : phase_timings) ms += pt.ms;
+  return ms;
 }
 
 std::unique_ptr<Phase> MakePhase(PhaseKind kind) {

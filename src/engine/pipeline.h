@@ -17,24 +17,6 @@ namespace rigpm {
 
 class EvalContext;
 
-/// The stages of the GM chain (Sections 3-6), in execution order:
-///   Reduce    — transitive reduction of the query (Section 3),
-///   Prefilter — seed candidate sets: ms(q) or the Chen/Zeng pre-filter,
-///   Simulate  — double simulation refines the seeds into cos(q),
-///   BuildRig  — expand cos(q) into RIG edges (Algorithm 4),
-///   Order     — search-order selection over RIG statistics (Section 5.2),
-///   Enumerate — MJoin, sequential or parallel (Section 5 / Section 6).
-enum class PhaseKind : uint8_t {
-  kReduce,
-  kPrefilter,
-  kSimulate,
-  kBuildRig,
-  kOrder,
-  kEnumerate,
-};
-
-const char* PhaseKindName(PhaseKind kind);
-
 /// Mutable state threaded through the phase chain — everything one query
 /// evaluation reads and writes. A PipelineState is owned by an EvalContext
 /// and recycled across queries via Reset(), which clears the logical

@@ -43,9 +43,10 @@ std::optional<Graph> ReadGraph(std::istream& in, std::string* error) {
       if (!(ls >> declared_nodes >> declared_edges)) {
         return fail("malformed header at line " + std::to_string(line_no));
       }
+      // No reserve() from the declared counts: they are untrusted, and a
+      // crafted header would turn the hint into a huge allocation. The
+      // count check after the loop validates them instead.
       have_header = true;
-      labels.reserve(declared_nodes);
-      edges.reserve(declared_edges);
     } else if (tag == 'v') {
       uint64_t id = 0, label = 0;
       if (!(ls >> id >> label)) {
@@ -61,7 +62,7 @@ std::optional<Graph> ReadGraph(std::istream& in, std::string* error) {
         return fail("malformed edge at line " + std::to_string(line_no));
       }
       // Endpoints must name already-declared nodes, with or without a
-      // header: the header only pre-sizes, it declares nothing.
+      // header: the header only states counts, it declares nothing.
       if (u >= labels.size() || v >= labels.size()) {
         return fail("edge (" + std::to_string(u) + ", " + std::to_string(v) +
                     ") references an undeclared node at line " +

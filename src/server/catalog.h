@@ -173,10 +173,10 @@ class EngineCatalog {
                 std::string* error = nullptr);
 
   /// Adds a tenant around a caller-owned engine (which must outlive the
-  /// catalog) — the single-tenant legacy path. `source.snapshot_path` stays
-  /// empty; a non-empty `source.delta_path` makes the tenant refreshable,
-  /// with `base_checksum` binding the log to the engine's base snapshot
-  /// (0 skips the check).
+  /// catalog) — how a single-graph daemon is wired. `source.snapshot_path`
+  /// stays empty; a non-empty `source.delta_path` makes the tenant
+  /// refreshable, with `base_checksum` binding the log to the engine's base
+  /// snapshot (0 skips the check).
   bool AdoptEngine(const std::string& id, const GmEngine& engine,
                    EngineSource source = {}, uint64_t base_checksum = 0,
                    std::string* error = nullptr);

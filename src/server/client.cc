@@ -315,7 +315,12 @@ std::optional<ServerCapabilities> QueryClient::Capabilities(
     SetError(error, "unexpected response type");
     return std::nullopt;
   }
-  return ParsePingResponse(src);
+  ServerCapabilities caps = ParsePingResponse(src);
+  if (!src.ok()) {
+    SetError(error, "malformed ping response: " + src.error());
+    return std::nullopt;
+  }
+  return caps;
 }
 
 std::optional<ListGraphsResponse> QueryClient::ListGraphs(std::string* error) {
@@ -324,17 +329,7 @@ std::optional<ListGraphsResponse> QueryClient::ListGraphs(std::string* error) {
   std::vector<uint8_t> payload;
   if (!RoundTrip(sink, &payload, error)) return std::nullopt;
   ByteSource src(payload.data(), payload.size());
-  MessageType type = ReadMessageType(src);
-  if (type == MessageType::kErrorResponse) {
-    // A pre-v2 daemon answers "unknown request type 8".
-    ListGraphsResponse resp;
-    if (!DecodeErrorResponse(src, &resp.status, &resp.error)) {
-      SetError(error, "malformed error response");
-      return std::nullopt;
-    }
-    return resp;
-  }
-  if (type != MessageType::kListGraphsResponse) {
+  if (ReadMessageType(src) != MessageType::kListGraphsResponse) {
     SetError(error, "unexpected response type");
     return std::nullopt;
   }

@@ -43,8 +43,7 @@ class QueryClient {
   bool connected() const { return fd_ >= 0; }
 
   /// Addresses this session's queries and refreshes at the named graph of
-  /// a multi-graph daemon ("" = the daemon's default graph, and the only
-  /// setting a pre-v2 daemon understands — see Capabilities().scoped()).
+  /// a multi-graph daemon ("" = the daemon's default graph).
   void SetGraph(std::string graph_id) { graph_ = std::move(graph_id); }
   const std::string& graph() const { return graph_; }
 
@@ -88,8 +87,7 @@ class QueryClient {
   /// Liveness probe (also what scripts poll while the daemon starts up).
   bool Ping(std::string* error = nullptr);
 
-  /// Ping + feature detection: what the daemon advertised in its pong
-  /// tail. A bare pong (pre-v2 daemon) yields the revision-1 defaults, so
+  /// Ping + feature detection: what the daemon advertised in its pong, so
   /// callers branch on the capability bits, never on errors.
   std::optional<ServerCapabilities> Capabilities(std::string* error = nullptr);
 

@@ -97,19 +97,6 @@ QueryServer::QueryServer(std::shared_ptr<EngineCatalog> catalog,
   if (config_.max_pipeline == 0) config_.max_pipeline = 1;
 }
 
-QueryServer::QueryServer(const GmEngine& engine, ServerConfig config)
-    : QueryServer(std::make_shared<EngineCatalog>(), std::move(config)) {
-  // Before AdoptEngine: the cache is attached when the state is built.
-  catalog_->set_cache_bytes(config_.cache_bytes);
-  // The adopted state aliases the caller's engine (which must outlive the
-  // server); refreshed states own their graph + engine.
-  EngineSource source;
-  source.delta_path = config_.delta_path;
-  source.delta_io = config_.delta_io;
-  catalog_->AdoptEngine("default", engine, std::move(source),
-                        config_.base_checksum);
-}
-
 QueryServer::~QueryServer() { Stop(); }
 
 std::string QueryServer::endpoint() const {
@@ -1091,8 +1078,6 @@ ByteSink QueryServer::HandleQuery(const QueryRequest& req,
       QueryResultWire w;
       w.num_occurrences = r.num_occurrences;
       w.hit_limit = r.hit_limit;
-      w.matching_ms = r.MatchingMs();
-      w.enumerate_ms = r.enumerate_ms;
       w.phase_timings.reserve(r.phase_timings.size());
       for (const PhaseTiming& pt : r.phase_timings) {
         w.phase_timings.push_back(PhaseTimingWire{pt.name, pt.ms});

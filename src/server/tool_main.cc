@@ -126,6 +126,7 @@ int ServeToolMain(int argc, char** argv, int first_arg) {
   uint32_t max_engines = 0;
   int port = -1;
   SnapshotIoMode io_mode = DefaultSnapshotIoMode();
+  uint64_t cache_bytes = kDefaultResultCacheBytes;
   ServerConfig config;
   for (int i = first_arg; i < argc; ++i) {
     const char* v;
@@ -197,7 +198,7 @@ int ServeToolMain(int argc, char** argv, int first_arg) {
     } else if (std::strcmp(argv[i], "--cache-bytes") == 0) {
       if ((v = NeedValue(argc, argv, &i, "--cache-bytes")) == nullptr)
         return ServeUsage();
-      config.cache_bytes = std::strtoull(v, nullptr, 10);
+      cache_bytes = std::strtoull(v, nullptr, 10);
     } else if (std::strcmp(argv[i], "--maintenance-interval-ms") == 0) {
       if ((v = NeedValue(argc, argv, &i, "--maintenance-interval-ms")) ==
           nullptr)
@@ -263,7 +264,7 @@ int ServeToolMain(int argc, char** argv, int first_arg) {
   auto catalog = std::make_shared<EngineCatalog>(max_engines);
   // Before any engine opens: the result cache is attached per generation
   // at open/adopt/refresh time with the budget in force right then.
-  catalog->set_cache_bytes(config.cache_bytes);
+  catalog->set_cache_bytes(cache_bytes);
   WarmEngine warm;
   std::optional<Graph> parsed_graph;
   std::optional<GmEngine> cold_engine;

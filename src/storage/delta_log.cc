@@ -84,7 +84,7 @@ bool ParseFileHeader(const uint8_t* data, uint32_t* format_version,
   uint32_t kind = 0;
   std::memcpy(&version, data + sizeof(kMagic), sizeof(version));
   std::memcpy(&kind, data + sizeof(kMagic) + sizeof(uint32_t), sizeof(kind));
-  if (version < kMinSnapshotVersion || version > kDeltaFormatOps) {
+  if (version < kMinDeltaFormatVersion || version > kDeltaFormatOps) {
     SetError(error,
              "unsupported delta log version " + std::to_string(version) +
                  " (this build supports up to " +
@@ -247,12 +247,6 @@ std::unique_ptr<DeltaWriter> DeltaWriter::Open(const std::string& path,
                                                uint32_t base_num_nodes,
                                                std::string* error,
                                                DeltaWriterOptions options) {
-  if (options.format_version < kMinSnapshotVersion ||
-      options.format_version > kDeltaFormatOps) {
-    SetError(error, "unsupported delta log version " +
-                        std::to_string(options.format_version));
-    return nullptr;
-  }
   int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
   if (fd < 0) {
     SetError(error, "cannot open " + path + ": " + std::strerror(errno));
@@ -275,7 +269,6 @@ std::unique_ptr<DeltaWriter> DeltaWriter::Open(const std::string& path,
   }
   writer->base_checksum_ = base_checksum;
   writer->chain_checksum_ = base_checksum;
-  writer->format_version_ = options.format_version;
   writer->options_ = options;
 
   // Read whatever is there: a fresh file gets a header; an existing log is
@@ -297,8 +290,7 @@ std::unique_ptr<DeltaWriter> DeltaWriter::Open(const std::string& path,
       return nullptr;
     }
     ByteSink header;
-    WriteFileHeader(header, options.format_version, base_checksum,
-                    base_num_nodes);
+    WriteFileHeader(header, kDeltaFormatOps, base_checksum, base_num_nodes);
     if (::pwrite(fd, header.data().data(), header.size(), 0) !=
         static_cast<ssize_t>(header.size())) {
       SetError(error, "cannot initialize " + path + ": " +
@@ -337,18 +329,6 @@ std::unique_ptr<DeltaWriter> DeltaWriter::Open(const std::string& path,
   uint32_t file_num_nodes = 0;
   if (!ParseFileHeader(bytes.data(), &file_version, &file_base,
                        &file_num_nodes, error)) {
-    return nullptr;
-  }
-  // A clear version message, decided from the HEADER, before any chain
-  // validation: a writer built for version <= 3 must not misreport a
-  // version-4 log as a checksum failure (and must not append records the
-  // old format cannot express).
-  if (file_version > options.format_version) {
-    SetError(error, path + " is a format version " +
-                        std::to_string(file_version) +
-                        " delta log, but this writer supports up to "
-                        "version " + std::to_string(options.format_version) +
-                        " — upgrade the tool or recreate the log");
     return nullptr;
   }
   if (file_base != base_checksum) {

@@ -61,9 +61,9 @@ namespace rigpm {
 ///
 /// Version compatibility: records with flags == 0 are byte-identical in
 /// every version, so a version-4 log full of add-only records differs from
-/// a version-3 log only in its header. An old build refuses a version-4
-/// header up front ("unsupported delta log version 4"), and a new build
-/// refuses to append delete ops into a version <= 3 log — both fail with a
+/// a version-3 log only in its header. New logs are always created at
+/// kDeltaFormatOps; an existing version <= 3 log still replays and takes
+/// add-only appends, but appending delete ops to it is refused with a
 /// version message, never a misleading chain-checksum error.
 ///
 /// Durability: DeltaWriter::Append writes the record and fdatasync()s by
@@ -73,8 +73,11 @@ namespace rigpm {
 ///
 /// All integers are host-endian, like every other rigpm persistence format.
 
-/// Highest delta format version without delete ops (the original format;
-/// versions 1..3 track the snapshot container versions they shipped with).
+/// Oldest delta log header version the reader accepts. Versions 1..3 are
+/// the original add-only format (they track the snapshot container versions
+/// they shipped with) and differ from each other only in the header.
+inline constexpr uint32_t kMinDeltaFormatVersion = 1;
+/// Highest delta format version without delete ops.
 inline constexpr uint32_t kDeltaFormatAddOnly = 3;
 /// Delta format v2: records may carry per-edge add/delete ops.
 inline constexpr uint32_t kDeltaFormatOps = 4;
@@ -119,11 +122,6 @@ struct DeltaWriterOptions {
   /// fdatasync() after every record. Turn off only where losing the tail on
   /// a crash is acceptable (benchmarks).
   bool fsync_each_append = true;
-  /// Format version stamped on a log this writer CREATES, and the highest
-  /// version it will append to (an existing log keeps its own version; one
-  /// newer than this is refused with a version message). Pass
-  /// kDeltaFormatAddOnly to emulate a pre-ops build.
-  uint32_t format_version = kDeltaFormatOps;
 };
 
 /// Appends op-batch records to a delta log, creating the file (and its
@@ -187,7 +185,8 @@ class DeltaWriter {
   uint64_t base_checksum() const { return base_checksum_; }
   /// Node count of the base graph (from the header; the endpoint bound).
   uint32_t base_num_nodes() const { return base_num_nodes_; }
-  /// The log's format version (from its header, or the creation stamp).
+  /// The log's format version (from its header; kDeltaFormatOps for a log
+  /// this writer created).
   uint32_t format_version() const { return format_version_; }
   /// Sequence number the next Append will stamp.
   uint64_t next_seqno() const { return last_seqno_ + 1; }

@@ -32,6 +32,7 @@ namespace rigpm {
 namespace {
 
 using rigpm::testing::PaperExample;
+using rigpm::testing::SingleEngineCatalog;
 using namespace rigpm::server;
 
 std::string UniquePath() {
@@ -357,7 +358,7 @@ TEST_F(MultiTenantServerTest, ScopedCountsMatchDedicatedDaemons) {
     ServerConfig solo_cfg;
     solo_cfg.unix_path = UniquePath() + ".sock";
     solo_cfg.num_workers = 2;
-    QueryServer dedicated(engine, solo_cfg);
+    QueryServer dedicated(SingleEngineCatalog(engine), solo_cfg);
     std::string error;
     ASSERT_TRUE(dedicated.Start(&error)) << error;
 

@@ -72,6 +72,18 @@ void FlipByte(const std::string& path, uint64_t offset) {
   f.write(&b, 1);
 }
 
+/// Overwrites the header version (the u32 after the 8-byte magic) of the
+/// delta log at `path`. Add-only records are byte-identical across
+/// versions and the header carries no checksum, so a fresh add-only log
+/// patched to kDeltaFormatAddOnly is exactly what a pre-ops build wrote.
+void PatchLogVersion(const std::string& path, uint32_t version) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.is_open());
+  f.seekp(8);
+  f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  ASSERT_TRUE(f.good());
+}
+
 constexpr uint64_t kBase = 0x1234abcd5678ef01ull;
 
 /// Round-trip and rejection tests run under both IO modes — replay must be
@@ -626,14 +638,17 @@ TEST(DeltaVersion, DeleteOpsRefusedOnAddOnlyLogWithVersionMessage) {
   TempDir tmp;
   const std::string path = tmp.Path("g.delta");
   std::string error;
-  DeltaWriterOptions v1;
-  v1.format_version = kDeltaFormatAddOnly;
-  auto writer = DeltaWriter::Open(path, kBase, 10, &error, v1);
+  auto writer = DeltaWriter::Open(path, kBase, 10, &error);
+  ASSERT_NE(writer, nullptr) << error;
+  ASSERT_TRUE(writer->Append({{0, 3}}, &error)) << error;
+  writer.reset();
+  PatchLogVersion(path, kDeltaFormatAddOnly);
+
+  writer = DeltaWriter::Open(path, kBase, 0, &error);
   ASSERT_NE(writer, nullptr) << error;
   EXPECT_EQ(writer->format_version(), kDeltaFormatAddOnly);
   // Adds still work on the old format, deletes fail with a VERSION message
   // (not a checksum one), and the failed append leaves the log appendable.
-  ASSERT_TRUE(writer->Append({{0, 3}}, &error)) << error;
   std::vector<DeltaOp> del = {{0, 1, DeltaOpKind::kDelete}};
   EXPECT_FALSE(writer->AppendOps(del, &error));
   EXPECT_NE(error.find("cannot carry delete ops"), std::string::npos) << error;
@@ -642,41 +657,19 @@ TEST(DeltaVersion, DeleteOpsRefusedOnAddOnlyLogWithVersionMessage) {
   EXPECT_EQ(writer->record_count(), 2u);
 }
 
-TEST(DeltaVersion, OldBuildRefusesNewLogWithVersionMessageNotChainError) {
-  // A v1-era build (emulated via format_version) opening a version-4 log
-  // must say "version", never report a checksum/chain failure.
+TEST(DeltaVersion, NewBuildAppendsAddOnlyRecordsToOldLog) {
+  // A version-3 log written by a pre-ops build still replays, takes more
+  // ADD-only records, and keeps its version (new logs are always created
+  // at version 4).
   TempDir tmp;
   const std::string path = tmp.Path("g.delta");
   std::string error;
   auto writer = DeltaWriter::Open(path, kBase, 10, &error);
   ASSERT_NE(writer, nullptr) << error;
-  ASSERT_TRUE(writer->AppendOps(
-      std::vector<DeltaOp>{{0, 1, DeltaOpKind::kDelete}}, &error))
-      << error;
-  writer.reset();
-
-  DeltaWriterOptions v1;
-  v1.format_version = kDeltaFormatAddOnly;
-  auto old_writer = DeltaWriter::Open(path, kBase, 0, &error, v1);
-  EXPECT_EQ(old_writer, nullptr);
-  EXPECT_NE(error.find("format version 4"), std::string::npos) << error;
-  EXPECT_NE(error.find("supports up to"), std::string::npos) << error;
-  EXPECT_EQ(error.find("checksum"), std::string::npos) << error;
-}
-
-TEST(DeltaVersion, NewBuildAppendsAddOnlyRecordsToOldLog) {
-  // The converse direction stays compatible: a new build may keep
-  // appending ADD-only records to a version-3 log (they are byte-identical
-  // across versions), and the log stays readable as version 3.
-  TempDir tmp;
-  const std::string path = tmp.Path("g.delta");
-  std::string error;
-  DeltaWriterOptions v1;
-  v1.format_version = kDeltaFormatAddOnly;
-  auto writer = DeltaWriter::Open(path, kBase, 10, &error, v1);
-  ASSERT_NE(writer, nullptr) << error;
+  EXPECT_EQ(writer->format_version(), kDeltaFormatOps);
   ASSERT_TRUE(writer->Append({{0, 3}}, &error)) << error;
   writer.reset();
+  PatchLogVersion(path, kDeltaFormatAddOnly);
 
   auto new_writer = DeltaWriter::Open(path, kBase, 0, &error);
   ASSERT_NE(new_writer, nullptr) << error;
@@ -693,6 +686,15 @@ TEST(DeltaVersion, NewBuildAppendsAddOnlyRecordsToOldLog) {
   EXPECT_EQ(rec.ops, (std::vector<DeltaOp>{{0, 7, DeltaOpKind::kAdd}}));
   EXPECT_FALSE(reader.Next(&rec));
   EXPECT_FALSE(reader.truncated());
+
+  Graph base = PaperExample::MakeGraph();
+  DeltaReader replay_reader(path);
+  auto merged = ReplayDelta(base, replay_reader, &error);
+  ASSERT_TRUE(merged.has_value()) << error;
+  EXPECT_EQ(SerializeGraph(*merged),
+            SerializeGraph(ApplyDeltaOps(
+                base, std::vector<DeltaOp>{{0, 3, DeltaOpKind::kAdd},
+                                           {0, 7, DeltaOpKind::kAdd}})));
 }
 
 TEST_P(DeltaIoTest, SeekToResumesAndValidatesTheTail) {

@@ -30,6 +30,7 @@ namespace rigpm {
 namespace {
 
 using rigpm::testing::PaperExample;
+using rigpm::testing::SingleEngineCatalog;
 using namespace rigpm::server;
 
 // ------------------------------------------------- canonical fingerprints
@@ -371,9 +372,11 @@ class CacheRefreshTest : public ::testing::Test {
 
     config_.unix_path = UniqueSocketPath();
     config_.num_workers = 2;
-    config_.delta_path = delta_path_;
-    config_.base_checksum = base_checksum_;
-    server_ = std::make_unique<QueryServer>(*warm_->engine, config_);
+    EngineSource source;
+    source.delta_path = delta_path_;
+    server_ = std::make_unique<QueryServer>(
+        SingleEngineCatalog(*warm_->engine, std::move(source), base_checksum_),
+        config_);
     ASSERT_TRUE(server_->Start(&error)) << error;
   }
 
@@ -577,8 +580,8 @@ TEST(CacheDisabled, ZeroBudgetServesWithoutCaching) {
   ServerConfig config;
   config.unix_path = UniqueSocketPath();
   config.num_workers = 2;
-  config.cache_bytes = 0;
-  QueryServer server(engine, config);
+  QueryServer server(SingleEngineCatalog(engine, {}, 0, /*cache_bytes=*/0),
+                     config);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 

@@ -36,6 +36,7 @@ namespace rigpm {
 namespace {
 
 using rigpm::testing::PaperExample;
+using rigpm::testing::SingleEngineCatalog;
 using namespace rigpm::server;
 
 std::string UniqueSocketPath() {
@@ -55,7 +56,8 @@ class ServerTest : public ::testing::Test {
     engine_ = std::make_unique<GmEngine>(*graph_);
     config_.unix_path = UniqueSocketPath();
     config_.num_workers = 4;
-    server_ = std::make_unique<QueryServer>(*engine_, config_);
+    server_ = std::make_unique<QueryServer>(SingleEngineCatalog(*engine_),
+                                            config_);
     std::string error;
     ASSERT_TRUE(server_->Start(&error)) << error;
   }
@@ -114,8 +116,6 @@ TEST(ServerProtocol, QueryResponseRoundTrips) {
   QueryResultWire r;
   r.num_occurrences = 42;
   r.hit_limit = true;
-  r.matching_ms = 1.5;
-  r.enumerate_ms = 2.5;
   r.phase_timings = {{"Reduce", 0.1}, {"Enumerate", 2.5}};
   resp.results.push_back(r);
   resp.tuple_arity = 2;
@@ -130,9 +130,9 @@ TEST(ServerProtocol, QueryResponseRoundTrips) {
   ASSERT_EQ(back.results.size(), 1u);
   EXPECT_EQ(back.results[0].num_occurrences, 42u);
   EXPECT_TRUE(back.results[0].hit_limit);
-  EXPECT_DOUBLE_EQ(back.results[0].enumerate_ms, 2.5);
   ASSERT_EQ(back.results[0].phase_timings.size(), 2u);
   EXPECT_EQ(back.results[0].phase_timings[1].name, "Enumerate");
+  EXPECT_DOUBLE_EQ(back.results[0].phase_timings[1].ms, 2.5);
   EXPECT_EQ(back.tuples, resp.tuples);
 }
 
@@ -147,6 +147,101 @@ TEST(ServerProtocol, TruncatedResponsePayloadFailsSoftly) {
     QueryResponse::Deserialize(src);
     EXPECT_FALSE(src.ok());
   }
+}
+
+// Decodes every strict prefix of `sink` (the message type included) with
+// `decode`: each one is missing at least one field, so each must leave the
+// source failed rather than fill the missing fields with zeros.
+template <typename Decode>
+void ExpectEveryCutFails(const ByteSink& sink, Decode decode) {
+  for (size_t cut = 0; cut < sink.size(); ++cut) {
+    ByteSource src(sink.data().data(), cut);
+    ReadMessageType(src);
+    decode(src);
+    EXPECT_FALSE(src.ok()) << "cut at byte " << cut << " of " << sink.size();
+  }
+}
+
+TEST(ServerProtocol, StatsResponseRoundTripsAndRejectsEveryCut) {
+  StatsResponse stats;
+  stats.uptime_ms = 1;
+  stats.queries_served = 2;
+  stats.latency_p99_ms = 3.5;
+  stats.refreshes = 4;
+  stats.accept_p99_ms = 5.5;
+  stats.catalog_evictions = 6;
+  stats.tenants = {GraphInfoWire{"alpha", true, true, 7, 8},
+                   GraphInfoWire{"beta", false, false, 0, 9}};
+  stats.cache_hits = 10;
+  stats.frames_flushed = 11;
+  TenantCacheWire cache;
+  cache.id = "alpha";
+  cache.hits = 12;
+  cache.entries = 13;
+  stats.tenant_caches = {cache};
+  stats.auto_refreshes = 14;
+  stats.deletes_applied = 15;
+
+  ByteSink sink;
+  stats.Serialize(sink);
+  ByteSource src(sink.data().data(), sink.size());
+  EXPECT_EQ(ReadMessageType(src), MessageType::kStatsResponse);
+  StatsResponse back = StatsResponse::Deserialize(src);
+  ASSERT_TRUE(src.ok()) << src.error();
+  EXPECT_EQ(src.remaining(), 0u);
+  EXPECT_EQ(back.queries_served, 2u);
+  EXPECT_DOUBLE_EQ(back.accept_p99_ms, 5.5);
+  ASSERT_EQ(back.tenants.size(), 2u);
+  EXPECT_EQ(back.tenants[1].id, "beta");
+  EXPECT_EQ(back.tenants[1].queries, 9u);
+  EXPECT_EQ(back.frames_flushed, 11u);
+  ASSERT_EQ(back.tenant_caches.size(), 1u);
+  EXPECT_EQ(back.tenant_caches[0].entries, 13u);
+  EXPECT_EQ(back.auto_refreshes, 14u);
+  EXPECT_EQ(back.deletes_applied, 15u);
+
+  ExpectEveryCutFails(sink,
+                      [](ByteSource& s) { StatsResponse::Deserialize(s); });
+}
+
+TEST(ServerProtocol, PingResponseRoundTripsAndRejectsEveryCut) {
+  ServerCapabilities caps;
+  caps.revision = kProtocolRevision;
+  caps.capabilities = kCapTagged | kCapListGraphs;
+  ByteSink sink = MakePingResponse(caps);
+  ByteSource src(sink.data().data(), sink.size());
+  EXPECT_EQ(ReadMessageType(src), MessageType::kPingResponse);
+  ServerCapabilities back = ParsePingResponse(src);
+  ASSERT_TRUE(src.ok()) << src.error();
+  EXPECT_EQ(src.remaining(), 0u);
+  EXPECT_EQ(back.revision, kProtocolRevision);
+  EXPECT_TRUE(back.tagged());
+  EXPECT_TRUE(back.list_graphs());
+  EXPECT_FALSE(back.scoped());
+
+  // A bare pong (no revision/capability body) is malformed.
+  ExpectEveryCutFails(sink, [](ByteSource& s) { ParsePingResponse(s); });
+}
+
+TEST(ServerProtocol, ListGraphsResponseRoundTripsAndRejectsEveryCut) {
+  ListGraphsResponse list;
+  list.default_id = "alpha";
+  list.graphs = {GraphInfoWire{"alpha", true, false, 3, 4},
+                 GraphInfoWire{"beta", false, true, 0, 0}};
+  ByteSink sink;
+  list.Serialize(sink);
+  ByteSource src(sink.data().data(), sink.size());
+  EXPECT_EQ(ReadMessageType(src), MessageType::kListGraphsResponse);
+  ListGraphsResponse back = ListGraphsResponse::Deserialize(src);
+  ASSERT_TRUE(src.ok()) << src.error();
+  EXPECT_EQ(src.remaining(), 0u);
+  EXPECT_EQ(back.default_id, "alpha");
+  ASSERT_EQ(back.graphs.size(), 2u);
+  EXPECT_EQ(back.graphs[0].applied_seqno, 3u);
+  EXPECT_TRUE(back.graphs[1].refreshable);
+
+  ExpectEveryCutFails(
+      sink, [](ByteSource& s) { ListGraphsResponse::Deserialize(s); });
 }
 
 // --------------------------------------------------------------- serving
@@ -249,7 +344,7 @@ TEST_F(ServerTest, HostileThreadCountIsClampedNotHonored) {
 
 TEST_F(ServerTest, SecondServerOnLiveSocketFailsInsteadOfHijacking) {
   {
-    QueryServer second(*engine_, config_);
+    QueryServer second(SingleEngineCatalog(*engine_), config_);
     std::string error;
     EXPECT_FALSE(second.Start(&error));
     EXPECT_NE(error.find("already"), std::string::npos) << error;
@@ -271,7 +366,7 @@ TEST_F(ServerTest, NonSocketPathIsRefusedNotDeleted) {
   }
   ServerConfig config = config_;
   config.unix_path = path;
-  QueryServer server(*engine_, config);
+  QueryServer server(SingleEngineCatalog(*engine_), config);
   std::string error;
   EXPECT_FALSE(server.Start(&error));
   EXPECT_NE(error.find("not a socket"), std::string::npos) << error;
@@ -362,7 +457,7 @@ TEST(ServerSnapshot, WarmServerMatchesColdEngine) {
   ServerConfig config;
   config.unix_path = UniqueSocketPath();
   config.num_workers = 2;
-  QueryServer server(*warm->engine, config);
+  QueryServer server(SingleEngineCatalog(*warm->engine), config);
   ASSERT_TRUE(server.Start(&error)) << error;
 
   const std::vector<std::string> patterns = {
@@ -514,7 +609,8 @@ TEST_F(ServerTest, OversizeFrameIsRejectedAndConnectionClosed) {
   server_->Stop();
   config_.max_frame_bytes = 1024;
   config_.unix_path = UniqueSocketPath();
-  server_ = std::make_unique<QueryServer>(*engine_, config_);
+  server_ = std::make_unique<QueryServer>(SingleEngineCatalog(*engine_),
+                                          config_);
   std::string error;
   ASSERT_TRUE(server_->Start(&error)) << error;
 
@@ -542,7 +638,8 @@ TEST_F(ServerTest, OversizeResponseBecomesErrorNotCorruptFrame) {
   server_->Stop();
   config_.max_frame_bytes = 120;
   config_.unix_path = UniqueSocketPath();
-  server_ = std::make_unique<QueryServer>(*engine_, config_);
+  server_ = std::make_unique<QueryServer>(SingleEngineCatalog(*engine_),
+                                          config_);
   std::string error;
   ASSERT_TRUE(server_->Start(&error)) << error;
 
@@ -593,7 +690,8 @@ TEST_F(ServerTest, SlowLorisClientsDoNotOccupyWorkers) {
   server_->Stop();
   config_.num_workers = 1;
   config_.unix_path = UniqueSocketPath();
-  server_ = std::make_unique<QueryServer>(*engine_, config_);
+  server_ = std::make_unique<QueryServer>(SingleEngineCatalog(*engine_),
+                                          config_);
   std::string error;
   ASSERT_TRUE(server_->Start(&error)) << error;
 
@@ -649,7 +747,8 @@ TEST_F(ServerTest, ConnectionCapShedsExcessConnections) {
   server_->Stop();
   config_.max_connections = 3;
   config_.unix_path = UniqueSocketPath();
-  server_ = std::make_unique<QueryServer>(*engine_, config_);
+  server_ = std::make_unique<QueryServer>(SingleEngineCatalog(*engine_),
+                                          config_);
   std::string error;
   ASSERT_TRUE(server_->Start(&error)) << error;
 
@@ -687,7 +786,8 @@ TEST_F(ServerTest, IdleTimeoutReapsQuietConnections) {
   server_->Stop();
   config_.idle_timeout_ms = 100;
   config_.unix_path = UniqueSocketPath();
-  server_ = std::make_unique<QueryServer>(*engine_, config_);
+  server_ = std::make_unique<QueryServer>(SingleEngineCatalog(*engine_),
+                                          config_);
   std::string error;
   ASSERT_TRUE(server_->Start(&error)) << error;
 
@@ -810,9 +910,11 @@ class RefreshTest : public ::testing::Test {
     // so clients > workers must serve fine (the old thread-per-connection
     // core starved the refresher under this sizing).
     config_.num_workers = 2;
-    config_.delta_path = delta_path_;
-    config_.base_checksum = base_checksum_;
-    server_ = std::make_unique<QueryServer>(*warm_->engine, config_);
+    EngineSource source;
+    source.delta_path = delta_path_;
+    server_ = std::make_unique<QueryServer>(
+        SingleEngineCatalog(*warm_->engine, std::move(source), base_checksum_),
+        config_);
     ASSERT_TRUE(server_->Start(&error)) << error;
   }
 

@@ -1,6 +1,7 @@
 #include "test_util.h"
 
 #include <functional>
+#include <utility>
 
 namespace rigpm::testing {
 
@@ -90,6 +91,16 @@ std::set<std::vector<NodeId>> BruteForceAnswer(const Graph& g,
   };
   recurse(0);
   return answer;
+}
+
+std::shared_ptr<server::EngineCatalog> SingleEngineCatalog(
+    const GmEngine& engine, server::EngineSource source,
+    uint64_t base_checksum, uint64_t cache_bytes) {
+  auto catalog = std::make_shared<server::EngineCatalog>();
+  // Before AdoptEngine: the cache is attached when the state is built.
+  catalog->set_cache_bytes(cache_bytes);
+  catalog->AdoptEngine("default", engine, std::move(source), base_checksum);
+  return catalog;
 }
 
 }  // namespace rigpm::testing

@@ -1,11 +1,15 @@
 #ifndef RIGPM_TESTS_TEST_UTIL_H_
 #define RIGPM_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
+#include <memory>
 #include <set>
 #include <vector>
 
+#include "engine/gm_engine.h"
 #include "graph/graph.h"
 #include "query/pattern_query.h"
+#include "server/catalog.h"
 
 namespace rigpm::testing {
 
@@ -61,6 +65,16 @@ bool SlowReaches(const Graph& g, NodeId u, NodeId v);
 /// Depth-limited reachability: a path of 1..max_hops edges from u to v.
 bool SlowReachesBounded(const Graph& g, NodeId u, NodeId v,
                         uint32_t max_hops);
+
+/// A catalog whose only tenant, "default", serves `engine` (which must
+/// outlive the catalog), wired the way rigpm_serve wires a single graph:
+/// set_cache_bytes, then AdoptEngine. `source.delta_path` enables refresh;
+/// `base_checksum` (when nonzero) binds it to the snapshot the engine was
+/// loaded from.
+std::shared_ptr<server::EngineCatalog> SingleEngineCatalog(
+    const GmEngine& engine, server::EngineSource source = {},
+    uint64_t base_checksum = 0,
+    uint64_t cache_bytes = server::kDefaultResultCacheBytes);
 
 }  // namespace rigpm::testing
 
