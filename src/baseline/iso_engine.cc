@@ -141,30 +141,33 @@ IsoResult IsoEvaluate(const Graph& g, const PatternQuery& q,
       return false;
     }
     QueryNodeId qi = order[i];
-    std::vector<const Bitmap*> inputs = {&candidates[qi]};
+    std::vector<std::span<const NodeId>> adjacency;
     for (QueryEdgeId e : q.OutEdges(qi)) {
       QueryNodeId other = q.Edge(e).to;
       if (tuple[other] != kInvalidNode) {
-        inputs.push_back(&g.InBitmap(tuple[other]));
+        adjacency.push_back(g.InNeighbors(tuple[other]));
       }
     }
     for (QueryEdgeId e : q.InEdges(qi)) {
       QueryNodeId other = q.Edge(e).from;
       if (tuple[other] != kInvalidNode) {
-        inputs.push_back(&g.OutBitmap(tuple[other]));
+        adjacency.push_back(g.OutNeighbors(tuple[other]));
       }
     }
-    Bitmap cosi = Bitmap::AndMany(inputs);
+    const Bitmap* filter = &candidates[qi];
+    std::vector<NodeId> cosi =
+        adjacency.empty() ? filter->ToVector()
+                          : IntersectAdjacency(adjacency, {&filter, 1});
     bool keep_going = true;
-    cosi.ForEach([&](NodeId v) {
-      if (!keep_going) return;
+    for (NodeId v : cosi) {
+      if (!keep_going) break;
       // Injectivity: the one-to-one constraint of isomorphic matching.
-      if (std::find(used.begin(), used.end(), v) != used.end()) return;
+      if (std::find(used.begin(), used.end(), v) != used.end()) continue;
       tuple[qi] = v;
       used.push_back(v);
       keep_going = descend(i + 1);
       used.pop_back();
-    });
+    }
     tuple[qi] = kInvalidNode;
     return keep_going;
   };

@@ -177,29 +177,29 @@ WcojResult WcojEngine::Evaluate(const PatternQuery& q, const WcojOptions& opts,
     QueryNodeId qi = order[i];
     LabelId label = q.Label(qi);
     if (label >= graph_.NumLabels()) return true;
-    std::vector<const Bitmap*> inputs;
-    inputs.push_back(&graph_.LabelBitmap(label));
+    std::vector<std::span<const NodeId>> adjacency;
+    std::vector<const Bitmap*> filters = {&graph_.LabelBitmap(label)};
     for (const Constraint& c : constraints[i]) {
       const QueryEdge& edge = q.Edge(c.edge);
       NodeId matched = tuple[order[c.earlier_pos]];
-      const Bitmap* adj;
       if (edge.kind == EdgeKind::kChild) {
-        adj = c.earlier_is_tail ? &graph_.OutBitmap(matched)
-                                : &graph_.InBitmap(matched);
+        adjacency.push_back(c.earlier_is_tail ? graph_.OutNeighbors(matched)
+                                              : graph_.InNeighbors(matched));
       } else {
-        adj = c.earlier_is_tail ? &closure_fwd_[matched]
-                                : &closure_bwd_[matched];
+        filters.push_back(c.earlier_is_tail ? &closure_fwd_[matched]
+                                            : &closure_bwd_[matched]);
       }
-      inputs.push_back(adj);
     }
     ++result.intersections;
-    Bitmap cosi = Bitmap::AndMany(inputs);
+    std::vector<NodeId> cosi = adjacency.empty()
+                                   ? Bitmap::AndMany(filters).ToVector()
+                                   : IntersectAdjacency(adjacency, filters);
     bool keep_going = true;
-    cosi.ForEach([&](NodeId v) {
-      if (!keep_going) return;
+    for (NodeId v : cosi) {
+      if (!keep_going) break;
       tuple[qi] = v;
       keep_going = descend(i + 1);
-    });
+    }
     tuple[qi] = kInvalidNode;
     return keep_going;
   };

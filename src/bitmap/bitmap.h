@@ -15,7 +15,7 @@ namespace rigpm {
 /// Per-kind container census of a bitmap (or a whole section of bitmaps):
 /// how many containers of each representation, how many still borrow their
 /// encoded payload from a snapshot mapping, and the encoded-vs-expanded
-/// byte footprint. `encoded_bytes` is the native payload size (what a v3
+/// byte footprint. `encoded_bytes` is the native payload size (what a
 /// snapshot stores and what a borrowed container costs in mapped bytes);
 /// `expanded_bytes` is what the same data would occupy fully decoded to
 /// array/bitset form — the saving lazy decode preserves until a mutating
@@ -31,14 +31,6 @@ struct BitmapContainerStats {
   uint64_t TotalContainers() const {
     return array_containers + bitset_containers + run_containers;
   }
-  void Accumulate(const BitmapContainerStats& other) {
-    array_containers += other.array_containers;
-    bitset_containers += other.bitset_containers;
-    run_containers += other.run_containers;
-    borrowed_containers += other.borrowed_containers;
-    encoded_bytes += other.encoded_bytes;
-    expanded_bytes += other.expanded_bytes;
-  }
 };
 
 /// A roaring-style compressed bitmap over 32-bit unsigned integers.
@@ -47,15 +39,16 @@ struct BitmapContainerStats {
 /// 16 bits. Each populated chunk is stored in one of three representations,
 /// chosen per chunk by byte footprint — the container design of
 /// RoaringBitmap (Chambi et al., SPE 2016), which the paper uses to store
-/// candidate occurrence sets and adjacency lists (Section 6):
+/// candidate occurrence sets (Section 6); the data graph keeps its
+/// adjacency in CSR arrays and stores only label inverted lists as bitmaps:
 ///  * array  — sorted uint16 low bits (sparse, <= kArrayCapacity values,
 ///             2 bytes/value);
 ///  * bitset — 1024 64-bit words (dense, fixed 8 KiB);
 ///  * run    — interleaved (start, length-1) uint16 pairs over maximal
 ///             consecutive value runs (clustered, 4 bytes/run) — the
-///             representation CSR adjacency of generated graphs, label
-///             inverted lists of contiguously-labeled nodes, and
-///             transitive-closure rows collapse into.
+///             representation label inverted lists of
+///             contiguously-labeled nodes and transitive-closure rows
+///             collapse into.
 ///
 /// Representation heuristics:
 ///  * construction (FromSorted / FromRange / Deserialize) and RunOptimize()
@@ -71,7 +64,7 @@ struct BitmapContainerStats {
 ///    produce run output only where it falls out for free (run x run);
 ///    call RunOptimize() to re-compress a bitmap built by many operations.
 ///
-/// Zero-copy snapshots: a bitmap loaded from an mmap'd v3 snapshot keeps
+/// Zero-copy snapshots: a bitmap loaded from an mmap'd snapshot keeps
 /// its array and run payloads *encoded inside the mapping* — reads operate
 /// on the borrowed encoded form directly, and the first mutating touch of a
 /// container materializes a private decoded copy (util/owned_span.h). RSS
@@ -81,7 +74,7 @@ struct BitmapContainerStats {
 ///  * point updates and membership,
 ///  * destructive and non-destructive AND / OR / ANDNOT,
 ///  * `Intersects` (existence-only AND, with early exit),
-///  * multiway AND/OR ("FastAggregation" in the RoaringBitmap API),
+///  * multiway AND ("FastAggregation" in the RoaringBitmap API),
 ///  * batch iteration (`ForEach`, `ToVector`) that decodes container-at-a-
 ///    time, mirroring the batch iterators the paper found 2-10x faster than
 ///    per-element iterators.
@@ -108,8 +101,8 @@ class Bitmap {
   Bitmap& operator=(Bitmap&&) noexcept = default;
 
   /// Builds a bitmap from a strictly increasing sequence of values, choosing
-  /// the best container representation per chunk. This is the fast path used
-  /// when converting CSR adjacency ranges.
+  /// the best container representation per chunk. This is the fast path the
+  /// batch kernels emit their filtered node lists through.
   static Bitmap FromSorted(std::span<const uint32_t> sorted_values);
 
   /// Builds a bitmap from an arbitrary (possibly duplicated) sequence.
@@ -149,9 +142,6 @@ class Bitmap {
   /// running result shrinks as fast as possible; returns empty on empty
   /// input list. Mirrors RoaringBitmap's FastAggregation::and.
   static Bitmap AndMany(std::span<const Bitmap* const> inputs);
-
-  /// Multiway union (pairwise balanced reduction).
-  static Bitmap OrMany(std::span<const Bitmap* const> inputs);
 
   /// Invokes `fn(value)` for every element in increasing order.
   void ForEach(const std::function<void(uint32_t)>& fn) const;

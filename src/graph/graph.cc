@@ -66,13 +66,6 @@ void Graph::BuildDerivedStructures() {
   std::vector<uint64_t> pos(label_offsets.begin(), label_offsets.end() - 1);
   for (NodeId v = 0; v < n; ++v) label_nodes[pos[labels_[v]]++] = v;
 
-  // Bitmap forms of adjacency and inverted lists.
-  fwd_bitmaps_.resize(n);
-  bwd_bitmaps_.resize(n);
-  for (NodeId v = 0; v < n; ++v) {
-    fwd_bitmaps_[v] = Bitmap::FromSorted(OutNeighbors(v));
-    bwd_bitmaps_[v] = Bitmap::FromSorted(InNeighbors(v));
-  }
   label_bitmaps_.resize(num_labels_);
   for (LabelId a = 0; a < num_labels_; ++a) {
     label_bitmaps_[a] = Bitmap::FromSorted(LabelNodes(a));
@@ -93,30 +86,53 @@ uint32_t Graph::MaxLabelListSize() const {
 }
 
 void Graph::Serialize(ByteSink& sink) const {
-  sink.WriteU32(num_labels_);
-  sink.WriteSpan<LabelId>(labels_);
   sink.WriteSpan<uint64_t>(fwd_offsets_);
   sink.WriteSpan<NodeId>(fwd_targets_);
   sink.WriteSpan<uint64_t>(bwd_offsets_);
   sink.WriteSpan<NodeId>(bwd_targets_);
+  sink.WriteU32(num_labels_);
+  sink.WriteSpan<LabelId>(labels_);
   sink.WriteSpan<uint64_t>(label_offsets_);
   sink.WriteSpan<NodeId>(label_nodes_);
-  for (const Bitmap& b : fwd_bitmaps_) b.Serialize(sink);
-  for (const Bitmap& b : bwd_bitmaps_) b.Serialize(sink);
   for (const Bitmap& b : label_bitmaps_) b.Serialize(sink);
 }
 
-Graph Graph::Deserialize(ByteSource& src) {
+namespace {
+
+// False iff some span [offsets[i], offsets[i+1]) of `targets` holds an id
+// >= n or is not strictly increasing. Offsets are already known monotone
+// and in bounds.
+bool AdjacencyIsValid(std::span<const uint64_t> offsets,
+                      std::span<const NodeId> targets, size_t n) {
+  for (size_t v = 0; v + 1 < offsets.size(); ++v) {
+    for (uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+      if (targets[i] >= n) return false;
+      if (i > offsets[v] && targets[i] <= targets[i - 1]) return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+Graph Graph::Deserialize(ByteSource& src, SectionBytes* sections) {
   Graph g;
   g.storage_ = src.storage();  // keeps a zero-copy mapping alive
-  g.num_labels_ = src.ReadU32();
-  src.ReadSpan(&g.labels_);
+  uint64_t section_start = src.remaining();
+  auto end_section = [&](uint64_t SectionBytes::*bytes) {
+    if (sections != nullptr) sections->*bytes = section_start - src.remaining();
+    section_start = src.remaining();
+  };
   src.ReadSpan(&g.fwd_offsets_);
   src.ReadSpan(&g.fwd_targets_);
   src.ReadSpan(&g.bwd_offsets_);
   src.ReadSpan(&g.bwd_targets_);
+  end_section(&SectionBytes::csr);
+  g.num_labels_ = src.ReadU32();
+  src.ReadSpan(&g.labels_);
   src.ReadSpan(&g.label_offsets_);
   src.ReadSpan(&g.label_nodes_);
+  end_section(&SectionBytes::labels);
   if (!src.ok()) return Graph();
   const size_t n = g.labels_.size();
   // Structural invariants: offset arrays bracket their target arrays and
@@ -148,17 +164,16 @@ Graph Graph::Deserialize(ByteSource& src) {
       return Graph();
     }
   }
-  for (NodeId v : g.fwd_targets_) {
-    if (v >= n) {
-      src.Fail("graph snapshot edge target out of range");
-      return Graph();
-    }
+  // The CSR spans are the only adjacency: everything that reads them
+  // (HasEdge's binary search, the span intersections) needs them sorted and
+  // duplicate-free.
+  if (!AdjacencyIsValid(g.fwd_offsets_, g.fwd_targets_, n)) {
+    src.Fail("graph snapshot edge target out of range or out of order");
+    return Graph();
   }
-  for (NodeId v : g.bwd_targets_) {
-    if (v >= n) {
-      src.Fail("graph snapshot edge source out of range");
-      return Graph();
-    }
+  if (!AdjacencyIsValid(g.bwd_offsets_, g.bwd_targets_, n)) {
+    src.Fail("graph snapshot edge source out of range or out of order");
+    return Graph();
   }
   for (NodeId v : g.label_nodes_) {
     if (v >= n) {
@@ -166,15 +181,11 @@ Graph Graph::Deserialize(ByteSource& src) {
       return Graph();
     }
   }
-  auto read_bitmaps = [&src](size_t count, std::vector<Bitmap>* out) {
-    out->resize(count);
-    for (size_t i = 0; i < count && src.ok(); ++i) {
-      (*out)[i] = Bitmap::Deserialize(src);
-    }
-  };
-  read_bitmaps(n, &g.fwd_bitmaps_);
-  read_bitmaps(n, &g.bwd_bitmaps_);
-  read_bitmaps(g.num_labels_, &g.label_bitmaps_);
+  g.label_bitmaps_.resize(g.num_labels_);
+  for (size_t i = 0; i < g.label_bitmaps_.size() && src.ok(); ++i) {
+    g.label_bitmaps_[i] = Bitmap::Deserialize(src);
+  }
+  end_section(&SectionBytes::label_bitmaps);
   if (!src.ok()) return Graph();
   return g;
 }
@@ -185,27 +196,13 @@ size_t Graph::OwnedHeapBytes() const {
                  bwd_targets_.OwnedHeapBytes() +
                  label_offsets_.OwnedHeapBytes() +
                  label_nodes_.OwnedHeapBytes();
-  for (const Bitmap& b : fwd_bitmaps_) bytes += b.MemoryBytes();
-  for (const Bitmap& b : bwd_bitmaps_) bytes += b.MemoryBytes();
   for (const Bitmap& b : label_bitmaps_) bytes += b.MemoryBytes();
   return bytes;
 }
 
-BitmapContainerStats Graph::SectionStats(BitmapSection section) const {
-  const std::vector<Bitmap>* bitmaps = nullptr;
-  switch (section) {
-    case BitmapSection::kForward:
-      bitmaps = &fwd_bitmaps_;
-      break;
-    case BitmapSection::kBackward:
-      bitmaps = &bwd_bitmaps_;
-      break;
-    case BitmapSection::kLabels:
-      bitmaps = &label_bitmaps_;
-      break;
-  }
+BitmapContainerStats Graph::LabelBitmapStats() const {
   BitmapContainerStats stats;
-  for (const Bitmap& b : *bitmaps) b.AccumulateStats(&stats);
+  for (const Bitmap& b : label_bitmaps_) b.AccumulateStats(&stats);
   return stats;
 }
 
@@ -227,6 +224,28 @@ std::string Graph::Summary() const {
   os << "|V|=" << NumNodes() << " |E|=" << NumEdges() << " |L|=" << NumLabels()
      << " d_avg=" << AverageDegree();
   return os.str();
+}
+
+std::vector<NodeId> IntersectAdjacency(
+    std::span<const std::span<const NodeId>> spans,
+    std::span<const Bitmap* const> filters) {
+  size_t smallest = 0;
+  for (size_t i = 1; i < spans.size(); ++i) {
+    if (spans[i].size() < spans[smallest].size()) smallest = i;
+  }
+  std::vector<NodeId> out;
+  for (NodeId v : spans[smallest]) {
+    bool keep = true;
+    for (size_t i = 0; i < spans.size() && keep; ++i) {
+      keep = i == smallest ||
+             std::binary_search(spans[i].begin(), spans[i].end(), v);
+    }
+    for (size_t i = 0; i < filters.size() && keep; ++i) {
+      keep = filters[i]->Contains(v);
+    }
+    if (keep) out.push_back(v);
+  }
+  return out;
 }
 
 }  // namespace rigpm

@@ -21,12 +21,13 @@ constexpr NodeId kInvalidNode = static_cast<NodeId>(-1);
 
 /// An immutable directed node-labeled data graph in CSR form (Definition 2.1).
 ///
-/// Both directions of the adjacency are materialized: forward lists (`adjf`
-/// in the paper) and backward lists (`adjb`). Per-node adjacency is also
-/// available as compressed bitmaps, which is what `BuildRIG`, double
-/// simulation's batch checks, and MJoin intersect against (Sections 4.5, 5).
-/// Label inverted lists `I_a` (Section 2) are exposed both as sorted vectors
-/// and as bitmaps.
+/// Both directions of the adjacency are materialized as CSR arrays: forward
+/// lists (`adjf` in the paper) and backward lists (`adjb`), each sorted by
+/// node id. They are the only adjacency representation: double
+/// simulation's child checks and `BuildRIG`'s expansion read the spans
+/// directly (Sections 4.5, 5). Label inverted lists `I_a` (Section 2) are
+/// exposed both as sorted vectors and as compressed bitmaps, the seeds of
+/// every candidate set.
 ///
 /// Construct via `GraphBuilder` (graph_builder.h) or the generators.
 class Graph {
@@ -65,11 +66,6 @@ class Graph {
   /// True iff (u, v) is an edge. O(log OutDegree(u)).
   bool HasEdge(NodeId u, NodeId v) const;
 
-  /// Forward adjacency of `v` as a compressed bitmap.
-  const Bitmap& OutBitmap(NodeId v) const { return fwd_bitmaps_[v]; }
-  /// Backward adjacency of `v` as a compressed bitmap.
-  const Bitmap& InBitmap(NodeId v) const { return bwd_bitmaps_[v]; }
-
   /// Inverted list I_a: all nodes labeled `a`, sorted.
   std::span<const NodeId> LabelNodes(LabelId a) const {
     return {label_nodes_.data() + label_offsets_[a],
@@ -93,27 +89,37 @@ class Graph {
   /// Human-readable one-line summary (|V|, |E|, |L|, d_avg).
   std::string Summary() const;
 
-  /// Appends a binary image of the whole graph — CSR arrays, label inverted
-  /// lists, and the derived bitmaps — to `sink` (storage/snapshot.h frames
-  /// it into a snapshot file). Loading is pure I/O: nothing is recomputed.
+  /// Appends a binary image of the whole graph to `sink`, in three
+  /// sections: the CSR arrays, the labels with their inverted lists, and
+  /// the label bitmaps (storage/snapshot.h frames it into a snapshot file).
+  /// Loading is pure I/O: nothing is recomputed.
   void Serialize(ByteSink& sink) const;
 
+  /// Encoded bytes of each section of a graph image.
+  struct SectionBytes {
+    uint64_t csr = 0;
+    uint64_t labels = 0;
+    uint64_t label_bitmaps = 0;
+  };
+
   /// Decodes an image written by Serialize. On malformed input `src.ok()`
-  /// turns false and an empty graph is returned. In zero-copy mode the CSR
-  /// arrays, label lists, and bitmap container payloads borrow directly
-  /// from the source's backing storage; the graph retains the storage
-  /// ownership token (`src.storage()`), so it stays valid for its whole
-  /// lifetime and through moves. Copies deep-copy into private storage.
-  static Graph Deserialize(ByteSource& src);
+  /// turns false and an empty graph is returned; adjacency spans must be
+  /// strictly increasing. In zero-copy mode the CSR arrays, label lists,
+  /// and bitmap container payloads borrow directly from the source's
+  /// backing storage; the graph retains the storage ownership token
+  /// (`src.storage()`), so it stays valid for its whole lifetime and
+  /// through moves. Copies deep-copy into private storage. `sections`, when
+  /// given, receives the bytes each section took (`rigpm_cli snapshot
+  /// --inspect`).
+  static Graph Deserialize(ByteSource& src, SectionBytes* sections = nullptr);
 
   /// Heap bytes owned by this graph. Borrowed snapshot-mapping storage is
   /// excluded — it is shared between every process mapping the snapshot.
   size_t OwnedHeapBytes() const;
 
-  /// Container census of one bitmap section (`rigpm_cli snapshot --inspect`
-  /// and the memory benches).
-  enum class BitmapSection { kForward, kBackward, kLabels };
-  BitmapContainerStats SectionStats(BitmapSection section) const;
+  /// Container census of the label bitmaps (`rigpm_cli snapshot --inspect`
+  /// and the memory tests).
+  BitmapContainerStats LabelBitmapStats() const;
 
   /// Returns a copy with every edge also present in the reverse direction —
   /// the "store each edge in both directions" transformation the paper uses
@@ -139,14 +145,20 @@ class Graph {
   OwnedOrBorrowedSpan<uint64_t> label_offsets_;  // size NumLabels()+1
   OwnedOrBorrowedSpan<NodeId> label_nodes_;
 
-  std::vector<Bitmap> fwd_bitmaps_;
-  std::vector<Bitmap> bwd_bitmaps_;
   std::vector<Bitmap> label_bitmaps_;
 
   // Ownership token for borrowed storage (null for built graphs); e.g. the
   // shared_ptr<MappedFile> of the snapshot the graph was loaded from.
   std::shared_ptr<const void> storage_;
 };
+
+/// The ids present in every span of `spans` (sorted adjacency spans; at
+/// least one) and in every bitmap of `filters`, in increasing order. Walks
+/// the smallest span and probes the rest, so the cost follows the smallest
+/// degree (the candidate step of the backtracking baselines).
+std::vector<NodeId> IntersectAdjacency(
+    std::span<const std::span<const NodeId>> spans,
+    std::span<const Bitmap* const> filters);
 
 }  // namespace rigpm
 

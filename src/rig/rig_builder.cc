@@ -25,13 +25,19 @@ void ExpandEdge(const MatchContext& ctx, const PatternQuery& q, QueryEdgeId e,
   if (src.Empty() || dst.Empty()) return;
 
   if (edge.kind == EdgeKind::kChild) {
-    // Direct connectivity as one set intersection per source node:
-    // adjf(vp) ∩ cos(q) (Section 4.5).
+    // Direct connectivity, adjf(vp) ∩ cos(q) per source node (Section 4.5):
+    // cos(q) is marked in the context's scratch once, and each vp keeps the
+    // marked targets of its CSR span.
+    NodeMarks& marks = ctx.marks();
+    const std::vector<NodeId> dst_nodes = dst.ToVector();
+    for (NodeId vq : dst_nodes) marks.Set(vq);
     src.ForEach([&](NodeId vp) {
       if (stats != nullptr) ++stats->expand_pair_checks;
-      Bitmap partners = Bitmap::And(g.OutBitmap(vp), dst);
-      partners.ForEach([&](NodeId vq) { rig->AddEdge(e, vp, vq); });
+      for (NodeId vq : g.OutNeighbors(vp)) {
+        if (marks.Test(vq)) rig->AddEdge(e, vp, vq);
+      }
     });
+    for (NodeId vq : dst_nodes) marks.ClearWordOf(vq);
     return;
   }
 
@@ -52,9 +58,10 @@ void ExpandEdge(const MatchContext& ctx, const PatternQuery& q, QueryEdgeId e,
         break;  // every later vq has an even larger begin
       }
       if (stats != nullptr) ++stats->expand_pair_checks;
-      bool reaches = (edge.max_hops > 0)
-                         ? BoundedReaches(g, vp, vq, edge.max_hops)
-                         : ctx.reach().Reaches(vp, vq);
+      bool reaches =
+          (edge.max_hops > 0)
+              ? BoundedReaches(g, vp, vq, edge.max_hops, &ctx.marks())
+              : ctx.reach().Reaches(vp, vq);
       if (reaches) rig->AddEdge(e, vp, vq);
     }
   });
@@ -74,14 +81,13 @@ CandidateSets SelectRigNodes(const MatchContext& ctx, const PatternQuery& q,
     // The simulation runs from the provided sets; sound because FB computed
     // from any superset of os(q) still contains os(q).
     CandidateSets fb = std::move(initial);
-    MatchContext sub_ctx(ctx.graph(), ctx.reach());
     // Reuse the FBSim machinery but seed it with `fb` by intersecting the
     // result of the chosen algorithm (which starts from ms(q)) with fb: for
     // the common case fb == ms(q) this is exact; for pre-filtered seeds it
     // only removes more redundant nodes.
     SimStats* sim_stats = (stats != nullptr) ? &stats->sim : nullptr;
     CandidateSets sim =
-        ComputeDoubleSimulation(sub_ctx, q, opts.sim_algorithm, opts.sim,
+        ComputeDoubleSimulation(ctx, q, opts.sim_algorithm, opts.sim,
                                 sim_stats);
     cos.resize(q.NumNodes());
     for (QueryNodeId i = 0; i < q.NumNodes(); ++i) {

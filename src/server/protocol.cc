@@ -317,8 +317,6 @@ TenantCacheWire TenantCacheWire::Deserialize(ByteSource& src) {
 
 void ListGraphsResponse::Serialize(ByteSink& sink) const {
   sink.WriteU32(static_cast<uint32_t>(MessageType::kListGraphsResponse));
-  sink.WriteU32(static_cast<uint32_t>(status));
-  sink.WriteString(error);
   sink.WriteString(default_id);
   sink.WriteU32(static_cast<uint32_t>(graphs.size()));
   for (const GraphInfoWire& g : graphs) g.Serialize(sink);
@@ -326,8 +324,6 @@ void ListGraphsResponse::Serialize(ByteSink& sink) const {
 
 ListGraphsResponse ListGraphsResponse::Deserialize(ByteSource& src) {
   ListGraphsResponse resp;
-  resp.status = static_cast<StatusCode>(src.ReadU32());
-  resp.error = src.ReadString();
   resp.default_id = src.ReadString();
   uint32_t num_graphs = src.ReadU32();
   if (num_graphs > src.remaining() / sizeof(uint64_t)) {

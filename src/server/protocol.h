@@ -251,8 +251,6 @@ struct StatsResponse {
 /// Answer to kListGraphsRequest: every registered graph, sorted by id,
 /// plus which one serves unaddressed requests.
 struct ListGraphsResponse {
-  StatusCode status = StatusCode::kOk;
-  std::string error;
   std::string default_id;
   std::vector<GraphInfoWire> graphs;
 

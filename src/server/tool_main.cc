@@ -566,11 +566,6 @@ int ClientToolMain(int argc, char** argv, int first_arg) {
       std::fprintf(stderr, "list-graphs failed: %s\n", error.c_str());
       return 1;
     }
-    if (list->status != StatusCode::kOk) {
-      std::fprintf(stderr, "server rejected list-graphs (%s): %s\n",
-                   StatusCodeName(list->status), list->error.c_str());
-      return 1;
-    }
     std::printf("graphs: %zu registered (default: %s)\n", list->graphs.size(),
                 list->default_id.c_str());
     for (const GraphInfoWire& g : list->graphs) {

@@ -1,6 +1,7 @@
 #include "sim/match_sets.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace rigpm {
 
@@ -31,57 +32,128 @@ CandidateSets InitialMatchSets(const Graph& g, const PatternQuery& q) {
   return sets;
 }
 
-namespace {
-
-// Multi-source BFS with an optional depth bound. `forward` selects the edge
-// direction to follow; the seeds themselves are NOT in the result (paths
-// must have >= 1 edge).
-Bitmap MultiSourceBfs(const Graph& g, const Bitmap& seeds, bool forward,
-                      uint32_t max_hops) {
-  std::vector<NodeId> frontier = seeds.ToVector();
-  std::vector<uint8_t> in_result(g.NumNodes(), 0);
-  std::vector<NodeId> result_nodes;
-  uint32_t depth = 0;
-  size_t level_end = frontier.size();
-  for (size_t head = 0; head < frontier.size(); ++head) {
-    if (head == level_end) {
-      ++depth;
-      level_end = frontier.size();
-    }
-    if (max_hops > 0 && depth >= max_hops) break;
-    NodeId v = frontier[head];
-    auto neighbors = forward ? g.OutNeighbors(v) : g.InNeighbors(v);
-    for (NodeId w : neighbors) {
-      if (!in_result[w]) {
-        in_result[w] = 1;
-        result_nodes.push_back(w);
-        frontier.push_back(w);
-      }
+void NodeMarks::Drain(NodeId lo, NodeId hi, std::vector<NodeId>* out) {
+  for (size_t w = lo >> 6; w <= (hi >> 6); ++w) {
+    uint64_t word = words_[w];
+    words_[w] = 0;
+    while (word != 0) {
+      out->push_back(static_cast<NodeId>((w << 6) | std::countr_zero(word)));
+      word &= word - 1;
     }
   }
-  std::sort(result_nodes.begin(), result_nodes.end());
-  return Bitmap::FromSorted(result_nodes);
+}
+
+namespace {
+
+NodeMarks& MarksOrLocal(const Graph& g, NodeMarks* marks, NodeMarks* local) {
+  if (marks != nullptr) return *marks;
+  local->Reserve(g.NumNodes());
+  return *local;
+}
+
+// BFS with an optional depth bound from the seeds already in `*visited`,
+// following out-edges when `forward`. Every node reached by a path of
+// >= 1 edge is marked and appended to `*visited` after the seeds (a seed is
+// only appended when a path leads back to it). Stops as soon as `stop_at`
+// is reached.
+void MarkBfs(const Graph& g, bool forward, uint32_t max_hops, NodeId stop_at,
+             NodeMarks& marks, std::vector<NodeId>* visited) {
+  uint32_t depth = 0;
+  size_t level_end = visited->size();
+  for (size_t head = 0; head < visited->size(); ++head) {
+    if (head == level_end) {
+      ++depth;
+      level_end = visited->size();
+    }
+    if (max_hops > 0 && depth >= max_hops) break;
+    const NodeId v = (*visited)[head];
+    for (NodeId w : forward ? g.OutNeighbors(v) : g.InNeighbors(v)) {
+      if (marks.TestAndSet(w)) continue;
+      visited->push_back(w);
+      if (w == stop_at) return;
+    }
+  }
+}
+
+// Multi-source BFS; the seeds themselves are NOT in the result (paths must
+// have >= 1 edge). The result is read off the marked words in order.
+Bitmap MultiSourceBfs(const Graph& g, const Bitmap& seeds, bool forward,
+                      uint32_t max_hops, NodeMarks* scratch) {
+  NodeMarks local;
+  NodeMarks& marks = MarksOrLocal(g, scratch, &local);
+  std::vector<NodeId> visited = seeds.ToVector();
+  const size_t num_seeds = visited.size();
+  MarkBfs(g, forward, max_hops, kInvalidNode, marks, &visited);
+  if (visited.size() == num_seeds) return Bitmap();
+  const auto [lo, hi] =
+      std::minmax_element(visited.begin() + num_seeds, visited.end());
+  const NodeId first = *lo;
+  const NodeId last = *hi;
+  visited.clear();
+  marks.Drain(first, last, &visited);
+  return Bitmap::FromSorted(visited);
 }
 
 }  // namespace
 
-Bitmap NodesReaching(const Graph& g, const Bitmap& targets,
-                     uint32_t max_hops) {
-  return MultiSourceBfs(g, targets, /*forward=*/false, max_hops);
+Bitmap NodesReaching(const Graph& g, const Bitmap& targets, uint32_t max_hops,
+                     NodeMarks* marks) {
+  return MultiSourceBfs(g, targets, /*forward=*/false, max_hops, marks);
 }
 
 Bitmap NodesReachableFrom(const Graph& g, const Bitmap& sources,
-                          uint32_t max_hops) {
-  return MultiSourceBfs(g, sources, /*forward=*/true, max_hops);
+                          uint32_t max_hops, NodeMarks* marks) {
+  return MultiSourceBfs(g, sources, /*forward=*/true, max_hops, marks);
 }
 
-bool BoundedReaches(const Graph& g, NodeId u, NodeId v, uint32_t max_hops) {
-  Bitmap seed;
-  seed.Add(u);
-  return MultiSourceBfs(g, seed, /*forward=*/true, max_hops).Contains(v);
+bool BoundedReaches(const Graph& g, NodeId u, NodeId v, uint32_t max_hops,
+                    NodeMarks* scratch) {
+  NodeMarks local;
+  NodeMarks& marks = MarksOrLocal(g, scratch, &local);
+  std::vector<NodeId> visited = {u};
+  MarkBfs(g, /*forward=*/true, max_hops, v, marks, &visited);
+  const bool found = marks.Test(v);
+  for (size_t i = 1; i < visited.size(); ++i) marks.ClearWordOf(visited[i]);
+  return found;
 }
 
 namespace {
+
+// Batch child check: keeps the nodes of `*set` adjacent to some node of
+// `side` — through an in-edge of a `side` node when `in_edges` (the set is
+// the edge's tail), an out-edge otherwise. The neighbour spans of `side`
+// are ORed into the context's marks, `*set` is filtered against them in one
+// sweep, and the touched words are cleared again: O(sum of degrees + |set|).
+void KeepAdjacentTo(const MatchContext& ctx, const Bitmap& side, bool in_edges,
+                    Bitmap* set) {
+  const Graph& g = ctx.graph();
+  NodeMarks& marks = ctx.marks();
+  const std::vector<NodeId> side_nodes = side.ToVector();
+  for (NodeId v : side_nodes) {
+    for (NodeId w : in_edges ? g.InNeighbors(v) : g.OutNeighbors(v)) {
+      marks.Set(w);
+    }
+  }
+  std::vector<NodeId> kept;
+  set->ForEach([&](NodeId u) {
+    if (marks.Test(u)) kept.push_back(u);
+  });
+  for (NodeId v : side_nodes) {
+    for (NodeId w : in_edges ? g.InNeighbors(v) : g.OutNeighbors(v)) {
+      marks.ClearWordOf(w);
+    }
+  }
+  if (kept.size() != set->Cardinality()) *set = Bitmap::FromSorted(kept);
+}
+
+// True iff some node of `adj` is in `other` (kBitIter: probe the CSR span
+// against the candidate bitmap, with early exit).
+bool SpanIntersects(std::span<const NodeId> adj, const Bitmap& other) {
+  for (NodeId w : adj) {
+    if (other.Contains(w)) return true;
+  }
+  return false;
+}
 
 // Per-pair existence probe: does u have a forward partner in dst along e?
 bool HasForwardPartner(const MatchContext& ctx, const QueryEdge& e, NodeId u,
@@ -92,7 +164,7 @@ bool HasForwardPartner(const MatchContext& ctx, const QueryEdge& e, NodeId u,
   if (e.kind == EdgeKind::kChild) {
     if (mode == ChildCheckMode::kBitIter) {
       if (stats != nullptr) ++stats->pair_checks;
-      return g.OutBitmap(u).Intersects(dst_bitmap);
+      return SpanIntersects(g.OutNeighbors(u), dst_bitmap);
     }
     // binSearch: probe each candidate against u's sorted adjacency array.
     auto adj = g.OutNeighbors(u);
@@ -104,10 +176,7 @@ bool HasForwardPartner(const MatchContext& ctx, const QueryEdge& e, NodeId u,
   }
   for (NodeId w : dst_nodes) {
     if (stats != nullptr) ++stats->pair_checks;
-    if (e.max_hops > 0 ? BoundedReaches(ctx.graph(), u, w, e.max_hops)
-                       : ctx.reach().Reaches(u, w)) {
-      return true;
-    }
+    if (ctx.EdgePairMatch(e, u, w)) return true;
   }
   return false;
 }
@@ -120,7 +189,7 @@ bool HasBackwardPartner(const MatchContext& ctx, const QueryEdge& e, NodeId v,
   if (e.kind == EdgeKind::kChild) {
     if (mode == ChildCheckMode::kBitIter) {
       if (stats != nullptr) ++stats->pair_checks;
-      return g.InBitmap(v).Intersects(src_bitmap);
+      return SpanIntersects(g.InNeighbors(v), src_bitmap);
     }
     auto adj = g.InNeighbors(v);
     for (NodeId u : src_nodes) {
@@ -131,10 +200,7 @@ bool HasBackwardPartner(const MatchContext& ctx, const QueryEdge& e, NodeId v,
   }
   for (NodeId u : src_nodes) {
     if (stats != nullptr) ++stats->pair_checks;
-    if (e.max_hops > 0 ? BoundedReaches(ctx.graph(), u, v, e.max_hops)
-                       : ctx.reach().Reaches(u, v)) {
-      return true;
-    }
+    if (ctx.EdgePairMatch(e, u, v)) return true;
   }
   return false;
 }
@@ -152,15 +218,12 @@ bool ForwardPruneEdge(const MatchContext& ctx, const QueryEdge& e, Bitmap* src,
              opts.child_check == ChildCheckMode::kBitBat) {
     // Batch: src nodes with a child in dst are exactly the union of the
     // backward adjacency lists of dst, intersected with src (Section 4.5).
-    std::vector<const Bitmap*> lists;
-    lists.reserve(dst.Cardinality());
-    dst.ForEach([&](NodeId w) { lists.push_back(&g.InBitmap(w)); });
     if (stats != nullptr) ++stats->pair_checks;
-    src->AndWith(Bitmap::OrMany(lists));
+    KeepAdjacentTo(ctx, dst, /*in_edges=*/true, src);
   } else if (e.kind == EdgeKind::kDescendant && opts.batch_reachability) {
     // Batch: nodes that reach some dst node, via one reverse BFS.
     if (stats != nullptr) ++stats->pair_checks;
-    src->AndWith(NodesReaching(g, dst, e.max_hops));
+    src->AndWith(NodesReaching(g, dst, e.max_hops, &ctx.marks()));
   } else {
     std::vector<NodeId> dst_nodes = dst.ToVector();
     std::vector<NodeId> survivors;
@@ -186,14 +249,11 @@ bool BackwardPruneEdge(const MatchContext& ctx, const QueryEdge& e,
     dst->Clear();
   } else if (e.kind == EdgeKind::kChild &&
              opts.child_check == ChildCheckMode::kBitBat) {
-    std::vector<const Bitmap*> lists;
-    lists.reserve(src.Cardinality());
-    src.ForEach([&](NodeId u) { lists.push_back(&g.OutBitmap(u)); });
     if (stats != nullptr) ++stats->pair_checks;
-    dst->AndWith(Bitmap::OrMany(lists));
+    KeepAdjacentTo(ctx, src, /*in_edges=*/false, dst);
   } else if (e.kind == EdgeKind::kDescendant && opts.batch_reachability) {
     if (stats != nullptr) ++stats->pair_checks;
-    dst->AndWith(NodesReachableFrom(g, src, e.max_hops));
+    dst->AndWith(NodesReachableFrom(g, src, e.max_hops, &ctx.marks()));
   } else {
     std::vector<NodeId> src_nodes = src.ToVector();
     std::vector<NodeId> survivors;

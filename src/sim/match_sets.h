@@ -12,11 +12,14 @@
 namespace rigpm {
 
 /// How child-edge (direct connectivity) constraints are checked during
-/// simulation and RIG construction (Section 4.5, Fig. 12a):
-///  * kBinSearch — binary-search candidate ids in sorted adjacency arrays,
-///  * kBitIter   — per-node bitmap intersection with early exit,
-///  * kBitBat    — batch: one union-of-adjacency-lists ∩ candidate-set
-///                 operation removes all violating nodes of an edge at once.
+/// simulation (Section 4.5, Fig. 12a). All three read the CSR adjacency:
+///  * kBinSearch — per candidate, binary-search every node of the other
+///                 side in the candidate's sorted adjacency array,
+///  * kBitIter   — per candidate, probe its adjacency span against the
+///                 other side's candidate bitmap, with early exit,
+///  * kBitBat    — batch: the adjacency spans of the whole other side are
+///                 ORed into a dense bitset once, and the candidate set is
+///                 filtered against it in one sweep.
 enum class ChildCheckMode : uint8_t { kBinSearch, kBitIter, kBitBat };
 
 const char* ChildCheckModeName(ChildCheckMode m);
@@ -59,33 +62,85 @@ struct SimStats {
 /// paid back on first use.
 using CandidateSets = std::vector<Bitmap>;
 
+/// A dense bitset over node ids: the scratch the batch kernels mark a node
+/// set in (the dense accumulator of CRoaring's `roaring_bitmap_or_many`).
+/// It is all-zero between uses; a kernel clears exactly the words it
+/// touched, so a use costs O(nodes marked) and never O(|V|).
+class NodeMarks {
+ public:
+  /// Grows the bitset to cover node ids below `num_nodes` (all clear).
+  void Reserve(uint32_t num_nodes) {
+    const size_t words = (static_cast<size_t>(num_nodes) + 63) / 64;
+    if (words_.size() < words) words_.resize(words, 0);
+  }
+
+  void Set(NodeId v) { words_[v >> 6] |= uint64_t{1} << (v & 63); }
+  bool Test(NodeId v) const { return (words_[v >> 6] >> (v & 63)) & 1; }
+  /// Sets v's bit; returns whether it was set before.
+  bool TestAndSet(NodeId v) {
+    uint64_t& word = words_[v >> 6];
+    const uint64_t bit = uint64_t{1} << (v & 63);
+    const bool was_set = (word & bit) != 0;
+    word |= bit;
+    return was_set;
+  }
+  /// Zeroes the whole 64-node word holding v.
+  void ClearWordOf(NodeId v) { words_[v >> 6] = 0; }
+
+  /// Appends the marked ids in [lo, hi] to `out` in increasing order,
+  /// reading whole words, and zeroes those words. Every marked id must lie
+  /// in [lo, hi].
+  void Drain(NodeId lo, NodeId hi, std::vector<NodeId>* out);
+
+ private:
+  std::vector<uint64_t> words_;
+};
+
 /// True iff a path of 1..max_hops edges leads from u to v (depth-limited
-/// BFS; used by bounded descendant edges). Declared ahead of MatchContext,
-/// which inlines it.
-bool BoundedReaches(const Graph& g, NodeId u, NodeId v, uint32_t max_hops);
+/// BFS; used by bounded descendant edges). Pass `marks` to reuse a caller's
+/// scratch; without it the call allocates its own. Declared ahead of
+/// MatchContext, which inlines it.
+bool BoundedReaches(const Graph& g, NodeId u, NodeId v, uint32_t max_hops,
+                    NodeMarks* marks = nullptr);
 
 /// Binds the data graph with a reachability index; every simulation/RIG
-/// routine works through this context.
+/// routine works through this context. It also carries the per-worker
+/// NodeMarks scratch of the batch kernels, so one MatchContext must only be
+/// used by one thread at a time (EvalContext holds one per worker).
 class MatchContext {
  public:
   MatchContext(const Graph& g, const ReachabilityIndex& reach)
       : graph_(g), reach_(reach) {}
 
+  MatchContext(const MatchContext&) = delete;
+  MatchContext& operator=(const MatchContext&) = delete;
+  MatchContext(MatchContext&&) = default;
+
   const Graph& graph() const { return graph_; }
   const ReachabilityIndex& reach() const { return reach_; }
+
+  /// The all-zero scratch bitset, sized to the graph on first use. Callers
+  /// leave it all-zero again when they are done.
+  NodeMarks& marks() const {
+    marks_.Reserve(graph_.NumNodes());
+    return marks_;
+  }
 
   /// Pair-level query-edge match test (Section 4.1): labels are assumed
   /// already satisfied; checks the structural part only. Bounded descendant
   /// edges (max_hops > 0) are answered with a depth-limited BFS.
   bool EdgePairMatch(const QueryEdge& e, NodeId u, NodeId v) const {
     if (e.kind == EdgeKind::kChild) return graph_.HasEdge(u, v);
-    if (e.max_hops > 0) return BoundedReaches(graph_, u, v, e.max_hops);
+    if (e.max_hops > 0) {
+      return BoundedReaches(graph_, u, v, e.max_hops, &marks());
+    }
     return reach_.Reaches(u, v);
   }
 
  private:
   const Graph& graph_;
   const ReachabilityIndex& reach_;
+  mutable NodeMarks marks_;
 };
 
 /// ms(q) for every query node: the label inverted lists (Section 4.1).
@@ -105,14 +160,15 @@ bool BackwardPruneEdge(const MatchContext& ctx, const QueryEdge& e,
                        SimStats* stats);
 
 /// Set of nodes that can reach some node of `targets` via >= 1 edge
-/// (reverse multi-source BFS). Exposed for tests and the RIG builder.
+/// (reverse multi-source BFS). Exposed for tests; the simulation passes its
+/// context's `marks`, otherwise the call allocates its own scratch.
 /// `max_hops` = 0 means unbounded; otherwise paths of at most that length.
 Bitmap NodesReaching(const Graph& g, const Bitmap& targets,
-                     uint32_t max_hops = 0);
+                     uint32_t max_hops = 0, NodeMarks* marks = nullptr);
 
 /// Set of nodes reachable from some node of `sources` via >= 1 edge.
 Bitmap NodesReachableFrom(const Graph& g, const Bitmap& sources,
-                          uint32_t max_hops = 0);
+                          uint32_t max_hops = 0, NodeMarks* marks = nullptr);
 
 }  // namespace rigpm
 

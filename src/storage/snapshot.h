@@ -42,15 +42,16 @@ namespace rigpm {
 /// touch.
 ///
 /// Only the current format version is read. Files from older versions
-/// (1: unpadded, 2: no run containers) are rejected with an error asking
-/// to re-create the snapshot from the source graph.
+/// (1: unpadded, 2: no run containers, 3: per-node adjacency bitmaps beside
+/// the CSR arrays) are rejected with an error asking to re-create the
+/// snapshot from the source graph.
 ///
 /// Readers reject bad magic, unknown versions, kind mismatches, payload
 /// sizes inconsistent with the file, truncation, and checksum mismatches —
 /// each with a descriptive error, never by crashing or silently returning a
 /// partial structure.
 
-inline constexpr uint32_t kSnapshotVersion = 3;
+inline constexpr uint32_t kSnapshotVersion = 4;
 
 /// Oldest format version the reader accepts.
 inline constexpr uint32_t kMinSnapshotVersion = kSnapshotVersion;

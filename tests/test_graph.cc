@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <random>
 #include <sstream>
 
@@ -62,16 +64,28 @@ TEST(Graph, InvertedLists) {
   EXPECT_FALSE(g.LabelBitmap(1).Contains(1));
 }
 
-TEST(Graph, BitmapAdjacencyMatchesCsr) {
+TEST(Graph, CsrDirectionsAgreeAndLabelBitmapsMatchLists) {
   Graph g = GenerateErdosRenyi({.num_nodes = 200, .num_edges = 1000,
                                 .num_labels = 5, .seed = 3});
+  uint64_t in_total = 0;
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    auto neigh = g.OutNeighbors(v);
-    EXPECT_EQ(g.OutBitmap(v).ToVector(),
-              std::vector<NodeId>(neigh.begin(), neigh.end()));
+    auto out = g.OutNeighbors(v);
+    EXPECT_TRUE(std::adjacent_find(out.begin(), out.end(),
+                                   std::greater_equal<NodeId>()) == out.end());
+    for (NodeId w : out) {
+      auto in = g.InNeighbors(w);
+      EXPECT_TRUE(std::binary_search(in.begin(), in.end(), v));
+    }
     auto in = g.InNeighbors(v);
-    EXPECT_EQ(g.InBitmap(v).ToVector(),
-              std::vector<NodeId>(in.begin(), in.end()));
+    EXPECT_TRUE(std::adjacent_find(in.begin(), in.end(),
+                                   std::greater_equal<NodeId>()) == in.end());
+    in_total += in.size();
+  }
+  EXPECT_EQ(in_total, g.NumEdges());
+  for (LabelId a = 0; a < g.NumLabels(); ++a) {
+    auto nodes = g.LabelNodes(a);
+    EXPECT_EQ(g.LabelBitmap(a).ToVector(),
+              std::vector<NodeId>(nodes.begin(), nodes.end()));
   }
 }
 

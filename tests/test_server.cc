@@ -240,6 +240,12 @@ TEST(ServerProtocol, ListGraphsResponseRoundTripsAndRejectsEveryCut) {
   EXPECT_EQ(back.graphs[0].applied_seqno, 3u);
   EXPECT_TRUE(back.graphs[1].refreshable);
 
+  // The body carries no status or error: the default id follows the
+  // message type directly.
+  ByteSource layout(sink.data().data(), sink.size());
+  EXPECT_EQ(ReadMessageType(layout), MessageType::kListGraphsResponse);
+  EXPECT_EQ(layout.ReadString(), "alpha");
+
   ExpectEveryCutFails(
       sink, [](ByteSource& s) { ListGraphsResponse::Deserialize(s); });
 }

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "graph/generators.h"
 #include "query/query_generator.h"
 #include "sim/fbsim_bas.h"
 #include "sim/fbsim_dag.h"
+#include "rig/rig_builder.h"
 #include "sim/prefilter.h"
 #include "test_util.h"
 
@@ -243,6 +246,187 @@ TEST(Sim, CyclicQueryDagDeltaAgreesWithBas) {
   CandidateSets delta = FBSim(ctx, q);
   for (QueryNodeId v = 0; v < q.NumNodes(); ++v) {
     EXPECT_EQ(bas[v], delta[v]) << v;
+  }
+}
+
+// ------------------------------------------- child-edge kernels vs. pairs
+//
+// The CSR kernels against a per-pair EdgePairMatch reference, on a graph of
+// more than 2^16 nodes (ids cross bitmap container keys and 64-bit word
+// boundaries) with self-loops and zero-degree nodes. Every call of a round
+// shares one MatchContext, so scratch marks a kernel failed to clear would
+// corrupt a later call.
+
+constexpr uint32_t kBigNodes = (1u << 16) + 5000;
+
+Graph MakeBigGraph() {
+  std::mt19937 rng(17);
+  std::uniform_int_distribution<NodeId> node(0, kBigNodes - 1);
+  std::vector<LabelId> labels(kBigNodes, 0);
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (int i = 0; i < 150000; ++i) {
+    NodeId u = node(rng);
+    NodeId v = node(rng);
+    // Every node divisible by 7 stays isolated.
+    if (u % 7 == 0 || v % 7 == 0) continue;
+    edges.emplace_back(u, v);
+    // Local edges make dense neighbourhoods around the 2^16 boundary.
+    if (u > 60000 && u < 72000) edges.emplace_back(u, u + 1 + u % 3);
+  }
+  for (NodeId v = 1; v < kBigNodes; v += 97) {
+    if (v % 7 != 0) edges.emplace_back(v, v);  // self-loops
+  }
+  for (auto& [u, v] : edges) v = std::min(v, kBigNodes - 1);
+  return Graph::FromEdges(std::move(labels), std::move(edges));
+}
+
+// Candidate-set shapes: sparse random ids, a dense range across the 2^16
+// key boundary, the out-neighbours of a sample (so pairs do match), and an
+// all-isolated set.
+std::vector<Bitmap> CandidateShapes(const Graph& g, std::mt19937& rng) {
+  std::uniform_int_distribution<NodeId> node(0, kBigNodes - 1);
+  std::vector<Bitmap> shapes(4);
+  for (int i = 0; i < 1200; ++i) shapes[0].Add(node(rng));
+  for (NodeId v = 64500; v < 66500; ++v) shapes[1].Add(v);
+  for (int i = 0; i < 300; ++i) {
+    for (NodeId w : g.OutNeighbors(node(rng))) shapes[2].Add(w);
+    shapes[2].Add(node(rng));
+  }
+  for (NodeId v = 0; v < kBigNodes; v += 7 * 41) shapes[3].Add(v);
+  return shapes;
+}
+
+Bitmap ReferenceForward(const MatchContext& ctx, const QueryEdge& e,
+                        const Bitmap& src, const Bitmap& dst) {
+  std::vector<NodeId> dst_nodes = dst.ToVector();
+  Bitmap out;
+  src.ForEach([&](NodeId u) {
+    for (NodeId w : dst_nodes) {
+      if (ctx.EdgePairMatch(e, u, w)) {
+        out.Add(u);
+        return;
+      }
+    }
+  });
+  return out;
+}
+
+Bitmap ReferenceBackward(const MatchContext& ctx, const QueryEdge& e,
+                         const Bitmap& src, const Bitmap& dst) {
+  std::vector<NodeId> src_nodes = src.ToVector();
+  Bitmap out;
+  dst.ForEach([&](NodeId v) {
+    for (NodeId u : src_nodes) {
+      if (ctx.EdgePairMatch(e, u, v)) {
+        out.Add(v);
+        return;
+      }
+    }
+  });
+  return out;
+}
+
+TEST(ChildKernels, PruneEdgeMatchesPairReferenceInEveryMode) {
+  Graph g = MakeBigGraph();
+  ASSERT_GT(g.NumNodes(), 1u << 16);
+  auto reach = BuildReachabilityIndex(g, ReachKind::kBfs);
+  MatchContext ctx(g, *reach);
+  std::mt19937 rng(23);
+  std::vector<Bitmap> shapes = CandidateShapes(g, rng);
+  shapes.emplace_back();  // an empty side
+  const QueryEdge edge{.from = 0, .to = 1, .kind = EdgeKind::kChild};
+  uint64_t kept = 0;
+  for (size_t a = 0; a < shapes.size(); ++a) {
+    for (size_t b = 0; b < shapes.size(); ++b) {
+      const Bitmap& src = shapes[a];
+      const Bitmap& dst = shapes[b];
+      const Bitmap fwd_ref = ReferenceForward(ctx, edge, src, dst);
+      const Bitmap bwd_ref = ReferenceBackward(ctx, edge, src, dst);
+      kept += fwd_ref.Cardinality() + bwd_ref.Cardinality();
+      for (ChildCheckMode mode :
+           {ChildCheckMode::kBitBat, ChildCheckMode::kBitIter,
+            ChildCheckMode::kBinSearch}) {
+        SCOPED_TRACE(std::string(ChildCheckModeName(mode)) + " shapes " +
+                     std::to_string(a) + "," + std::to_string(b));
+        SimOptions opts;
+        opts.child_check = mode;
+        Bitmap fwd = src;
+        EXPECT_EQ(ForwardPruneEdge(ctx, edge, &fwd, dst, opts, nullptr),
+                  fwd_ref.Cardinality() != src.Cardinality());
+        EXPECT_EQ(fwd.ToVector(), fwd_ref.ToVector());
+        Bitmap bwd = dst;
+        EXPECT_EQ(BackwardPruneEdge(ctx, edge, src, &bwd, opts, nullptr),
+                  bwd_ref.Cardinality() != dst.Cardinality());
+        EXPECT_EQ(bwd.ToVector(), bwd_ref.ToVector());
+      }
+    }
+  }
+  EXPECT_GT(kept, 0u);  // the shapes do produce matching pairs
+}
+
+TEST(ChildKernels, BoundedBatchBfsMatchesPairReference) {
+  // The descendant-edge batch path (MultiSourceBfs on the context's marks)
+  // against per-pair depth-limited reachability.
+  Graph g = MakeBigGraph();
+  auto reach = BuildReachabilityIndex(g, ReachKind::kBfs);
+  MatchContext ctx(g, *reach);
+  std::mt19937 rng(29);
+  std::uniform_int_distribution<NodeId> node(0, kBigNodes - 1);
+  Bitmap src;
+  Bitmap dst;
+  for (int i = 0; i < 150; ++i) {
+    src.Add(node(rng));
+    dst.Add(node(rng));
+  }
+  for (NodeId v = 65500; v < 65600; ++v) dst.Add(v);
+  SimOptions opts;
+  for (uint32_t hops : {1u, 2u}) {
+    const QueryEdge edge{.from = 0, .to = 1, .kind = EdgeKind::kDescendant,
+                         .max_hops = hops};
+    Bitmap fwd = src;
+    ForwardPruneEdge(ctx, edge, &fwd, dst, opts, nullptr);
+    EXPECT_EQ(fwd.ToVector(), ReferenceForward(ctx, edge, src, dst).ToVector());
+    Bitmap bwd = dst;
+    BackwardPruneEdge(ctx, edge, src, &bwd, opts, nullptr);
+    EXPECT_EQ(bwd.ToVector(),
+              ReferenceBackward(ctx, edge, src, dst).ToVector());
+  }
+}
+
+TEST(ChildKernels, ExpandRigChildEdgesMatchHasEdge) {
+  Graph g = MakeBigGraph();
+  auto reach = BuildReachabilityIndex(g, ReachKind::kBfs);
+  MatchContext ctx(g, *reach);
+  std::mt19937 rng(31);
+  std::vector<Bitmap> shapes = CandidateShapes(g, rng);
+  // Query 0 -> 1 -> 2 (child edges) over three different shapes, expanded
+  // through one context.
+  PatternQuery q = PatternQuery::FromParts(
+      {0, 0, 0}, {QueryEdge{.from = 0, .to = 1, .kind = EdgeKind::kChild},
+                  QueryEdge{.from = 1, .to = 2, .kind = EdgeKind::kChild}});
+  for (size_t round = 0; round < shapes.size(); ++round) {
+    CandidateSets cos = {shapes[round], shapes[(round + 2) % shapes.size()],
+                         shapes[(round + 1) % shapes.size()]};
+    Rig rig = ExpandRig(ctx, q, cos);
+    uint64_t total = 0;
+    for (QueryEdgeId e = 0; e < q.NumEdges(); ++e) {
+      const Bitmap& from = cos[q.Edge(e).from];
+      const std::vector<NodeId> to = cos[q.Edge(e).to].ToVector();
+      uint64_t expected = 0;
+      from.ForEach([&](NodeId vp) {
+        std::vector<NodeId> want;
+        for (NodeId vq : to) {
+          if (g.HasEdge(vp, vq)) want.push_back(vq);
+        }
+        expected += want.size();
+        EXPECT_EQ(rig.Forward(e, vp).ToVector(), want) << "vp " << vp;
+      });
+      EXPECT_EQ(rig.EdgeCount(e), expected);
+      total += expected;
+    }
+    if (round == 0) {
+      EXPECT_GT(total, 0u);
+    }
   }
 }
 

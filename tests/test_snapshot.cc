@@ -170,11 +170,16 @@ void ExpectSameGraph(const Graph& a, const Graph& b) {
     for (uint32_t i = 0; i < a.OutDegree(v); ++i) {
       EXPECT_EQ(a.OutNeighbors(v)[i], b.OutNeighbors(v)[i]);
     }
-    // Bitmap contents must be byte-identical, not just equivalent.
-    EXPECT_EQ(a.OutBitmap(v), b.OutBitmap(v));
-    EXPECT_EQ(a.InBitmap(v), b.InBitmap(v));
+    for (uint32_t i = 0; i < a.InDegree(v); ++i) {
+      EXPECT_EQ(a.InNeighbors(v)[i], b.InNeighbors(v)[i]);
+    }
   }
   for (LabelId l = 0; l < a.NumLabels(); ++l) {
+    ASSERT_EQ(a.LabelCount(l), b.LabelCount(l));
+    for (uint32_t i = 0; i < a.LabelCount(l); ++i) {
+      EXPECT_EQ(a.LabelNodes(l)[i], b.LabelNodes(l)[i]);
+    }
+    // Bitmap contents must be byte-identical, not just equivalent.
     EXPECT_EQ(a.LabelBitmap(l), b.LabelBitmap(l));
   }
 }
@@ -231,12 +236,12 @@ TEST(GraphSnapshot, MmapLoadedGraphOutlivesReaderAndDeletedFile) {
 
   // Copies deep-copy: mutating a copied bitmap must not touch the original
   // (which may be a borrowed view of the mapping).
-  Bitmap copy = moved.OutBitmap(0);
+  Bitmap copy = moved.LabelBitmap(0);
   Bitmap before = copy;
   copy.Add(31);
-  copy.Remove(6);
-  EXPECT_NE(copy, moved.OutBitmap(0));
-  EXPECT_EQ(before, moved.OutBitmap(0));
+  copy.Remove(1);
+  EXPECT_NE(copy, moved.LabelBitmap(0));
+  EXPECT_EQ(before, moved.LabelBitmap(0));
 }
 
 TEST(GraphSnapshot, MmapLoadKeepsContainersEncodedUntilMutation) {
@@ -262,12 +267,7 @@ TEST(GraphSnapshot, MmapLoadKeepsContainersEncodedUntilMutation) {
       file.path(), {.io_mode = SnapshotIoMode::kRead}, &error);
   ASSERT_TRUE(slurped.has_value()) << error;
 
-  BitmapContainerStats mapped_stats;
-  for (auto section : {Graph::BitmapSection::kForward,
-                       Graph::BitmapSection::kBackward,
-                       Graph::BitmapSection::kLabels}) {
-    mapped_stats.Accumulate(mapped->SectionStats(section));
-  }
+  const BitmapContainerStats mapped_stats = mapped->LabelBitmapStats();
   EXPECT_GT(mapped_stats.TotalContainers(), 0u);
   EXPECT_EQ(mapped_stats.borrowed_containers, mapped_stats.TotalContainers());
 
@@ -278,19 +278,13 @@ TEST(GraphSnapshot, MmapLoadKeepsContainersEncodedUntilMutation) {
   // Reads leave the accounting untouched.
   const size_t before = mapped->OwnedHeapBytes();
   uint64_t sum = 0;
-  for (NodeId v = 0; v < mapped->NumNodes(); v += 7) {
-    mapped->OutBitmap(v).ForEach([&sum](uint32_t w) { sum += w; });
+  for (LabelId l = 0; l < mapped->NumLabels(); ++l) {
+    mapped->LabelBitmap(l).ForEach([&sum](uint32_t w) { sum += w; });
   }
   ASSERT_GT(sum, 0u);
   EXPECT_EQ(mapped->OwnedHeapBytes(), before);
-
-  BitmapContainerStats after;
-  for (auto section : {Graph::BitmapSection::kForward,
-                       Graph::BitmapSection::kBackward,
-                       Graph::BitmapSection::kLabels}) {
-    after.Accumulate(mapped->SectionStats(section));
-  }
-  EXPECT_EQ(after.borrowed_containers, mapped_stats.borrowed_containers);
+  EXPECT_EQ(mapped->LabelBitmapStats().borrowed_containers,
+            mapped_stats.borrowed_containers);
 }
 
 TEST(GraphSnapshot, InspectReportsHeaderWithoutDecoding) {
@@ -573,9 +567,10 @@ TEST_F(MalformedSnapshotTest, WrongVersionIsRejected) {
   std::string corrupt = bytes_;
   corrupt[8] = static_cast<char>(kSnapshotVersion + 7);
   ExpectRejected(corrupt, "version");
-  // Formats 1 (unpadded) and 2 (no run containers) are rejected too, and
-  // the error must say how to recover, not just what is wrong.
-  for (uint32_t old_version : {1u, 2u}) {
+  // Formats 1 (unpadded), 2 (no run containers) and 3 (per-node adjacency
+  // bitmaps) are rejected too, and the error must say how to recover, not
+  // just what is wrong.
+  for (uint32_t old_version : {1u, 2u, 3u}) {
     corrupt = bytes_;
     std::memcpy(&corrupt[8], &old_version, sizeof(old_version));
     ExpectRejected(corrupt, "re-create the snapshot");
@@ -646,14 +641,14 @@ TEST_F(MalformedSnapshotTest, LabelCountOverflowIsRejected) {
   // offsets array (checksum-valid payload, so only the structural
   // validation stands between this file and a crash).
   ByteSink sink;
-  sink.WriteU32(0xFFFFFFFFu);  // num_labels
   OwnedOrBorrowedSpan<uint32_t> empty_u32;
   OwnedOrBorrowedSpan<uint64_t> zero_offsets(std::vector<uint64_t>{0});
-  sink.WriteSpan<uint32_t>(empty_u32);     // labels (0 nodes)
   sink.WriteSpan<uint64_t>(zero_offsets);  // fwd_offsets = [0]
   sink.WriteSpan<uint32_t>(empty_u32);     // fwd_targets
   sink.WriteSpan<uint64_t>(zero_offsets);  // bwd_offsets = [0]
   sink.WriteSpan<uint32_t>(empty_u32);     // bwd_targets
+  sink.WriteU32(0xFFFFFFFFu);              // num_labels
+  sink.WriteSpan<uint32_t>(empty_u32);     // labels (0 nodes)
   OwnedOrBorrowedSpan<uint64_t> empty_u64;
   sink.WriteSpan<uint64_t>(empty_u64);     // label_offsets (empty!)
   sink.WriteSpan<uint32_t>(empty_u32);     // label_nodes
@@ -664,6 +659,53 @@ TEST_F(MalformedSnapshotTest, LabelCountOverflowIsRejected) {
         << ModeName(mode);
     EXPECT_NE(error.find("inconsistent"), std::string::npos)
         << ModeName(mode) << ": " << error;
+  }
+}
+
+TEST_F(MalformedSnapshotTest, UnsortedAdjacencySpanIsRejected) {
+  // The CSR spans are the graph's only adjacency and every reader assumes
+  // them strictly increasing (HasEdge binary-searches them), so a
+  // checksum-valid image whose span of node 0 is out of order or repeats a
+  // target must be rejected. Two nodes, one label; the control image with
+  // the span {0, 1} loads.
+  auto write_image = [this](std::vector<uint32_t> fwd_targets) {
+    ByteSink sink;
+    OwnedOrBorrowedSpan<uint64_t> fwd_offsets(std::vector<uint64_t>{0, 2, 2});
+    OwnedOrBorrowedSpan<uint32_t> fwd(std::move(fwd_targets));
+    OwnedOrBorrowedSpan<uint64_t> bwd_offsets(std::vector<uint64_t>{0, 1, 2});
+    OwnedOrBorrowedSpan<uint32_t> bwd(std::vector<uint32_t>{0, 0});
+    OwnedOrBorrowedSpan<uint32_t> labels(std::vector<uint32_t>{0, 0});
+    OwnedOrBorrowedSpan<uint64_t> label_offsets(std::vector<uint64_t>{0, 2});
+    OwnedOrBorrowedSpan<uint32_t> label_nodes(std::vector<uint32_t>{0, 1});
+    sink.WriteSpan<uint64_t>(fwd_offsets);
+    sink.WriteSpan<uint32_t>(fwd);
+    sink.WriteSpan<uint64_t>(bwd_offsets);
+    sink.WriteSpan<uint32_t>(bwd);
+    sink.WriteU32(1);  // num_labels
+    sink.WriteSpan<uint32_t>(labels);
+    sink.WriteSpan<uint64_t>(label_offsets);
+    sink.WriteSpan<uint32_t>(label_nodes);
+    Bitmap({0, 1}).Serialize(sink);
+    ASSERT_TRUE(WriteSnapshotFile(file_.path(), SnapshotKind::kGraph, sink));
+  };
+  write_image({0, 1});
+  for (SnapshotIoMode mode : kBothModes) {
+    std::string error;
+    auto loaded = LoadGraphSnapshot(file_.path(), {.io_mode = mode}, &error);
+    ASSERT_TRUE(loaded.has_value()) << ModeName(mode) << ": " << error;
+    EXPECT_TRUE(loaded->HasEdge(0, 1));
+  }
+  for (std::vector<uint32_t> bad : {std::vector<uint32_t>{1, 0},
+                                    std::vector<uint32_t>{1, 1}}) {
+    write_image(bad);
+    for (SnapshotIoMode mode : kBothModes) {
+      std::string error;
+      EXPECT_FALSE(LoadGraphSnapshot(file_.path(), {.io_mode = mode}, &error)
+                       .has_value())
+          << ModeName(mode);
+      EXPECT_NE(error.find("out of order"), std::string::npos)
+          << ModeName(mode) << ": " << error;
+    }
   }
 }
 

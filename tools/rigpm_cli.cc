@@ -18,8 +18,9 @@
 //                     later runs warm-start from it via --load-snapshot.
 //                     With --inspect FILE, print the container header of an
 //                     existing snapshot (version, kind, payload size,
-//                     checksum) without decoding the payload; only format
-//                     version 3 loads, older files must be re-created
+//                     checksum) and the bytes of each payload section;
+//                     only format version 4 loads, older files must be
+//                     re-created
 //   delta             append-only edge updates over a base snapshot
 //                     (storage/delta_log.h):
 //                       append  --base S --delta D --edges FILE
@@ -85,6 +86,7 @@
 #include "query/pattern_parser.h"
 #include "query/query_io.h"
 #include "query/transitive_reduction.h"
+#include "reach/bfl_index.h"
 #include "server/tool_main.h"
 #include "storage/delta_log.h"
 #include "storage/lineage.h"
@@ -244,10 +246,46 @@ const char* SnapshotKindName(uint32_t kind_value) {
   return "unknown";
 }
 
-void PrintSectionStats(const char* name, const BitmapContainerStats& s) {
-  std::printf("  %-8s %5llu array  %5llu bitset  %5llu run  (%llu borrowed)"
-              "  encoded %llu B / decoded %llu B\n",
-              name, static_cast<unsigned long long>(s.array_containers),
+// Deep view for graph-bearing snapshots: decode the payload and report the
+// bytes of each section (CSR, labels, label bitmaps, reach index) and the
+// label bitmaps' container census. Purely additive diagnostics — a payload
+// that fails to decode only prints a note, because inspect's primary job is
+// debugging files that do NOT load.
+void TryInspectSections(const std::string& path, const SnapshotInfo& info) {
+  SnapshotKind kind = static_cast<SnapshotKind>(info.kind_value);
+  if (kind != SnapshotKind::kGraph && kind != SnapshotKind::kEngine) return;
+  SnapshotReader reader(path, kind);
+  if (!reader.ok()) {
+    std::printf("sections: unavailable (%s)\n", reader.error().c_str());
+    return;
+  }
+  ByteSource& src = reader.source();
+  Graph::SectionBytes bytes;
+  Graph g = Graph::Deserialize(src, &bytes);
+  if (!src.ok()) {
+    std::printf("sections: unavailable (%s)\n", src.error().c_str());
+    return;
+  }
+  std::printf("sections:\n");
+  std::printf("  %-14s %llu B\n", "csr",
+              static_cast<unsigned long long>(bytes.csr));
+  std::printf("  %-14s %llu B\n", "labels",
+              static_cast<unsigned long long>(bytes.labels));
+  std::printf("  %-14s %llu B\n", "label bitmaps",
+              static_cast<unsigned long long>(bytes.label_bitmaps));
+  if (kind == SnapshotKind::kEngine) {
+    const uint64_t before = src.remaining();
+    if (BflIndex::Deserialize(src) != nullptr) {
+      std::printf("  %-14s %llu B\n", "reach index",
+                  static_cast<unsigned long long>(before - src.remaining()));
+    } else {
+      std::printf("  reach index: unavailable (%s)\n", src.error().c_str());
+    }
+  }
+  const BitmapContainerStats s = g.LabelBitmapStats();
+  std::printf("label bitmap containers: %llu array  %llu bitset  %llu run  "
+              "(%llu borrowed)  encoded %llu B / decoded %llu B\n",
+              static_cast<unsigned long long>(s.array_containers),
               static_cast<unsigned long long>(s.bitset_containers),
               static_cast<unsigned long long>(s.run_containers),
               static_cast<unsigned long long>(s.borrowed_containers),
@@ -255,45 +293,8 @@ void PrintSectionStats(const char* name, const BitmapContainerStats& s) {
               static_cast<unsigned long long>(s.expanded_bytes));
 }
 
-// Deep view for graph-bearing snapshots: decode the graph part and report
-// the per-section bitmap container census (array/bitset/run counts and the
-// encoded-vs-decoded byte footprint that lazy decode preserves). Purely
-// additive diagnostics — a payload that fails to decode only prints a note,
-// because inspect's primary job is debugging files that do NOT load.
-void TryInspectContainers(const std::string& path, const SnapshotInfo& info) {
-  SnapshotKind kind = static_cast<SnapshotKind>(info.kind_value);
-  if (kind != SnapshotKind::kGraph && kind != SnapshotKind::kEngine) return;
-  SnapshotReader reader(path, kind);
-  if (!reader.ok()) {
-    std::printf("containers: unavailable (%s)\n", reader.error().c_str());
-    return;
-  }
-  Graph g = Graph::Deserialize(reader.source());
-  if (!reader.source().ok()) {
-    std::printf("containers: unavailable (%s)\n",
-                reader.source().error().c_str());
-    return;
-  }
-  BitmapContainerStats fwd = g.SectionStats(Graph::BitmapSection::kForward);
-  BitmapContainerStats bwd = g.SectionStats(Graph::BitmapSection::kBackward);
-  BitmapContainerStats lab = g.SectionStats(Graph::BitmapSection::kLabels);
-  std::printf("containers (graph part):\n");
-  PrintSectionStats("fwd", fwd);
-  PrintSectionStats("bwd", bwd);
-  PrintSectionStats("labels", lab);
-  BitmapContainerStats total = fwd;
-  total.Accumulate(bwd);
-  total.Accumulate(lab);
-  PrintSectionStats("total", total);
-  if (total.expanded_bytes > 0) {
-    std::printf("  bitmap payload compression: %.1f%% of decoded size\n",
-                100.0 * static_cast<double>(total.encoded_bytes) /
-                    static_cast<double>(total.expanded_bytes));
-  }
-}
-
 // snapshot --inspect: header fields always (payload never needs to decode);
-// for graph-bearing kinds, a best-effort container census on top.
+// for graph-bearing kinds, a best-effort section breakdown on top.
 int RunInspect(const std::string& path) {
   std::string error;
   auto info = InspectSnapshot(path, &error);
@@ -325,7 +326,7 @@ int RunInspect(const std::string& path) {
               static_cast<unsigned long long>(info->file_size));
   std::printf("checksum:  %016llx (stored; not re-verified by inspect)\n",
               static_cast<unsigned long long>(info->stored_checksum));
-  TryInspectContainers(path, *info);
+  TryInspectSections(path, *info);
   return 0;
 }
 
