@@ -22,14 +22,9 @@ using Occurrence = std::vector<NodeId>;
 using OccurrenceSink = std::function<bool(const Occurrence&)>;
 
 struct MJoinOptions {
-  /// Stop after this many occurrences (the experiments cap at 1e7).
+  /// Stop after this many occurrences (the experiments cap at 1e7); 0 emits
+  /// none and never calls the sink.
   uint64_t limit = std::numeric_limits<uint64_t>::max();
-
-  /// When non-null, the candidates of the FIRST node in the search order are
-  /// additionally intersected with this set. This is the partitioning hook
-  /// the parallel enumerator uses (mjoin_parallel.h): splitting cos(q_1)
-  /// across workers partitions the whole search space without locks.
-  const Bitmap* root_restriction = nullptr;
 };
 
 struct MJoinStats {
@@ -42,13 +37,16 @@ struct MJoinStats {
 /// Algorithm 5, MJoin: worst-case-optimal, query-node-at-a-time enumeration
 /// over a runtime index graph. At search step i the local candidate set is
 ///   cos_i = cos(q_i) ∩ ⋂ { adjacency of t[j] in G_Q : q_j earlier nbr }
-/// computed as one multiway bitmap intersection; the recursion therefore
+/// computed as one multiway intersection of the RIG's rank rows (rig.h),
+/// smallest row first into a buffer reused per step; a step with one
+/// earlier neighbour iterates its row in place. The recursion therefore
 /// never materializes partial join results (space O(n * MaxCos),
 /// Theorem 5.1).
 ///
-/// Returns the number of occurrences emitted. `order` must be a permutation
-/// of the query nodes; connected prefixes (as produced by ComputeSearchOrder)
-/// avoid Cartesian blowups but any permutation is correct.
+/// Returns the number of occurrences emitted, in lexicographic order of the
+/// search order's data node ids. `order` must be a permutation of the query
+/// nodes; connected prefixes (as produced by ComputeSearchOrder) avoid
+/// Cartesian blowups but any permutation is correct.
 uint64_t MJoin(const PatternQuery& q, const Rig& rig,
                std::span<const QueryNodeId> order, const OccurrenceSink& sink,
                const MJoinOptions& opts = {}, MJoinStats* stats = nullptr);

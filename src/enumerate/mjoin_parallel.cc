@@ -1,44 +1,31 @@
 #include "enumerate/mjoin_parallel.h"
 
 #include <atomic>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "enumerate/mjoin_plan.h"
 #include "util/concurrency.h"
 
 namespace rigpm {
-
-namespace {
-
-// Round-robin split of a bitmap into `parts` bitmaps. Round-robin (rather
-// than contiguous ranges) balances skew: consecutive ids often share hubs.
-std::vector<Bitmap> SplitRoundRobin(const Bitmap& input, uint32_t parts) {
-  std::vector<std::vector<uint32_t>> buckets(parts);
-  uint64_t i = 0;
-  input.ForEach([&](uint32_t v) { buckets[i++ % parts].push_back(v); });
-  std::vector<Bitmap> out;
-  out.reserve(parts);
-  for (auto& b : buckets) out.push_back(Bitmap::FromSorted(b));
-  return out;
-}
-
-}  // namespace
 
 uint64_t MJoinParallel(const PatternQuery& q, const Rig& rig,
                        std::span<const QueryNodeId> order,
                        const OccurrenceSink& sink,
                        const ParallelMJoinOptions& opts, MJoinStats* stats) {
-  if (rig.AnyEmpty() || q.NumNodes() == 0) return 0;
+  if (rig.AnyEmpty() || q.NumNodes() == 0 || opts.limit == 0) return 0;
   const uint32_t threads =
-      ResolveWorkerCount(opts.num_threads, rig.Cos(order[0]).Cardinality());
+      ResolveWorkerCount(opts.num_threads, rig.Cos(order[0]).size());
   if (threads <= 1) {
     MJoinOptions seq;
     seq.limit = opts.limit;
     return MJoin(q, rig, order, sink, seq, stats);
   }
 
-  std::vector<Bitmap> partitions = SplitRoundRobin(rig.Cos(order[0]), threads);
+  // Built before any worker starts and only read by them.
+  const MJoinPlan plan(q, rig, order);
   std::atomic<uint64_t> produced{0};
   std::atomic<bool> aborted{false};
   std::vector<MJoinStats> worker_stats(threads);
@@ -47,8 +34,6 @@ uint64_t MJoinParallel(const PatternQuery& q, const Rig& rig,
 
   for (uint32_t t = 0; t < threads; ++t) {
     workers.emplace_back([&, t] {
-      MJoinOptions wopts;
-      wopts.root_restriction = &partitions[t];
       // Each worker claims occurrences against the shared budget; when the
       // budget is gone (or a sink aborted), it stops via the sink callback.
       OccurrenceSink wrapped = [&](const Occurrence& occ) {
@@ -65,7 +50,9 @@ uint64_t MJoinParallel(const PatternQuery& q, const Rig& rig,
         }
         return ticket + 1 < opts.limit;
       };
-      MJoin(q, rig, order, wrapped, wopts, &worker_stats[t]);
+      // Worker t takes the ranks t, t + threads, ... of cos(q_1).
+      RunMJoin(plan, t, threads, wrapped,
+               std::numeric_limits<uint64_t>::max(), &worker_stats[t]);
     });
   }
   for (auto& w : workers) w.join();

@@ -19,15 +19,17 @@ struct ParallelMJoinOptions {
 
 /// Parallel MJoin — the multi-threaded evaluation the paper sketches as
 /// future work in Section 6. The search space is partitioned by splitting
-/// cos(q_1) (the first node of the search order) round-robin across workers;
-/// each worker runs an independent sequential MJoin restricted to its share,
-/// so no locks are taken on the RIG and the union of the workers' outputs is
-/// exactly the sequential answer (each occurrence binds q_1 to exactly one
-/// candidate, hence lands in exactly one partition).
+/// cos(q_1) (the first node of the search order) round-robin across workers:
+/// worker t of T takes the candidates of rank t, t + T, ... Each worker runs
+/// a sequential MJoin over rows built once before the workers start, so no
+/// locks are taken and the union of the workers' outputs is exactly the
+/// sequential answer (each occurrence binds q_1 to exactly one candidate,
+/// hence lands in exactly one partition).
 ///
 /// `sink`, when provided, is invoked CONCURRENTLY from worker threads and
 /// must be thread-safe; returning false stops all workers. Returns the
-/// number of occurrences produced (clamped to opts.limit).
+/// number of occurrences produced (clamped to opts.limit; a limit of 0
+/// returns 0 without calling the sink).
 uint64_t MJoinParallel(const PatternQuery& q, const Rig& rig,
                        std::span<const QueryNodeId> order,
                        const OccurrenceSink& sink,

@@ -46,7 +46,7 @@ std::vector<QueryNodeId> JoOrder(const PatternQuery& q, const Rig& rig) {
   // Start node: smallest candidate occurrence set.
   QueryNodeId best = 0;
   for (QueryNodeId v = 1; v < n; ++v) {
-    if (rig.Cos(v).Cardinality() < rig.Cos(best).Cardinality()) best = v;
+    if (rig.Cos(v).size() < rig.Cos(best).size()) best = v;
   }
   order.push_back(best);
   chosen[best] = 1;
@@ -57,7 +57,7 @@ std::vector<QueryNodeId> JoOrder(const PatternQuery& q, const Rig& rig) {
     for (QueryNodeId in_order : order) {
       for (QueryNodeId cand : nbrs[in_order]) {
         if (chosen[cand]) continue;
-        uint64_t card = rig.Cos(cand).Cardinality();
+        uint64_t card = rig.Cos(cand).size();
         if (card < best_card || (card == best_card && cand < next)) {
           best_card = card;
           next = cand;
@@ -70,7 +70,7 @@ std::vector<QueryNodeId> JoOrder(const PatternQuery& q, const Rig& rig) {
       for (QueryNodeId v = 0; v < n; ++v) {
         if (!chosen[v] &&
             (next == kInvalidNode ||
-             rig.Cos(v).Cardinality() < rig.Cos(next).Cardinality())) {
+             rig.Cos(v).size() < rig.Cos(next).size())) {
           next = v;
         }
       }
@@ -152,14 +152,14 @@ std::vector<QueryNodeId> BjOrder(const PatternQuery& q, const Rig& rig,
   // log-scale sizes avoid overflow: log|S| = sum log|cos(v)| + sum log sel(e).
   std::vector<double> log_card(n);
   for (QueryNodeId v = 0; v < n; ++v) {
-    log_card[v] = std::log(std::max<uint64_t>(1, rig.Cos(v).Cardinality()));
+    log_card[v] = std::log(std::max<uint64_t>(1, rig.Cos(v).size()));
   }
   std::vector<double> log_sel(q.NumEdges());
   for (QueryEdgeId e = 0; e < q.NumEdges(); ++e) {
     const QueryEdge& edge = q.Edge(e);
     double denom = std::max<double>(
-        1.0, static_cast<double>(rig.Cos(edge.from).Cardinality()) *
-                 static_cast<double>(rig.Cos(edge.to).Cardinality()));
+        1.0, static_cast<double>(rig.Cos(edge.from).size()) *
+                 static_cast<double>(rig.Cos(edge.to).size()));
     double num = std::max<double>(1.0, static_cast<double>(rig.EdgeCount(e)));
     log_sel[e] = std::log(num / denom);  // <= 0
   }

@@ -27,11 +27,6 @@ struct RigBuildOptions {
   /// cos(q) in ascending `begin` order, stop at the first vq with
   /// end(vp) < begin(vq) (Section 4.5; up to 30% expansion speedup).
   bool early_termination = true;
-
-  /// Drop candidates that end the expansion phase without a RIG edge on
-  /// some incident query edge. Off by default (matches the paper; MJoin
-  /// handles them through empty intersections).
-  bool prune_isolated = false;
 };
 
 struct RigBuildStats {

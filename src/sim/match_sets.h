@@ -105,8 +105,9 @@ bool BoundedReaches(const Graph& g, NodeId u, NodeId v, uint32_t max_hops,
 
 /// Binds the data graph with a reachability index; every simulation/RIG
 /// routine works through this context. It also carries the per-worker
-/// NodeMarks scratch of the batch kernels, so one MatchContext must only be
-/// used by one thread at a time (EvalContext holds one per worker).
+/// scratch of the batch kernels (NodeMarks and a rank array), so one
+/// MatchContext must only be used by one thread at a time (EvalContext
+/// holds one per worker).
 class MatchContext {
  public:
   MatchContext(const Graph& g, const ReachabilityIndex& reach)
@@ -126,6 +127,15 @@ class MatchContext {
     return marks_;
   }
 
+  /// Per-node scratch beside `marks`, sized to the graph on first use: a
+  /// kernel that marks a sorted node set may store each marked node's
+  /// position in that set here. Only entries of marked nodes are read, so
+  /// it is never cleared.
+  std::vector<uint32_t>& ranks() const {
+    if (ranks_.size() < graph_.NumNodes()) ranks_.resize(graph_.NumNodes());
+    return ranks_;
+  }
+
   /// Pair-level query-edge match test (Section 4.1): labels are assumed
   /// already satisfied; checks the structural part only. Bounded descendant
   /// edges (max_hops > 0) are answered with a depth-limited BFS.
@@ -141,6 +151,7 @@ class MatchContext {
   const Graph& graph_;
   const ReachabilityIndex& reach_;
   mutable NodeMarks marks_;
+  mutable std::vector<uint32_t> ranks_;
 };
 
 /// ms(q) for every query node: the label inverted lists (Section 4.1).

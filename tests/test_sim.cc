@@ -5,6 +5,7 @@
 #include <random>
 
 #include "graph/generators.h"
+#include "graph/interval_labels.h"
 #include "query/query_generator.h"
 #include "sim/fbsim_bas.h"
 #include "sim/fbsim_dag.h"
@@ -393,40 +394,81 @@ TEST(ChildKernels, BoundedBatchBfsMatchesPairReference) {
   }
 }
 
-TEST(ChildKernels, ExpandRigChildEdgesMatchHasEdge) {
+// Every RIG row, and every row of its transpose, equals the set of partners
+// for which EdgePairMatch holds: child, descendant and bounded edges, with
+// and without the interval cutoff. All rounds expand through one context,
+// so scratch a kernel leaves set shows up as a wrong row.
+TEST(ChildKernels, ExpandRigRowsMatchEdgePairMatch) {
   Graph g = MakeBigGraph();
-  auto reach = BuildReachabilityIndex(g, ReachKind::kBfs);
+  auto reach = BuildReachabilityIndex(g, ReachKind::kBfl);
   MatchContext ctx(g, *reach);
+  Condensation cond(g);
+  IntervalLabels intervals(g, cond);
   std::mt19937 rng(31);
   std::vector<Bitmap> shapes = CandidateShapes(g, rng);
-  // Query 0 -> 1 -> 2 (child edges) over three different shapes, expanded
-  // through one context.
+  // Every third node of each shape: the sides of the reachability edges,
+  // whose reference probes every pair.
+  std::vector<Bitmap> thinned(shapes.size());
+  for (size_t s = 0; s < shapes.size(); ++s) {
+    uint64_t i = 0;
+    shapes[s].ForEach([&](NodeId v) {
+      if (i++ % 3 == 0) thinned[s].Add(v);
+    });
+  }
+  // 0 -> 1 -> 2 => 3 =>{<=2 hops} 4.
   PatternQuery q = PatternQuery::FromParts(
-      {0, 0, 0}, {QueryEdge{.from = 0, .to = 1, .kind = EdgeKind::kChild},
-                  QueryEdge{.from = 1, .to = 2, .kind = EdgeKind::kChild}});
-  for (size_t round = 0; round < shapes.size(); ++round) {
-    CandidateSets cos = {shapes[round], shapes[(round + 2) % shapes.size()],
-                         shapes[(round + 1) % shapes.size()]};
-    Rig rig = ExpandRig(ctx, q, cos);
-    uint64_t total = 0;
+      {0, 0, 0, 0, 0},
+      {QueryEdge{.from = 0, .to = 1, .kind = EdgeKind::kChild},
+       QueryEdge{.from = 1, .to = 2, .kind = EdgeKind::kChild},
+       QueryEdge{.from = 2, .to = 3, .kind = EdgeKind::kDescendant},
+       QueryEdge{.from = 3, .to = 4, .kind = EdgeKind::kDescendant,
+                 .max_hops = 2}});
+  auto nodes = [](std::span<const NodeId> cos, std::span<const uint32_t> row) {
+    std::vector<NodeId> out;
+    for (uint32_t r : row) out.push_back(cos[r]);
+    return out;
+  };
+  std::vector<uint64_t> edges_seen(q.NumEdges(), 0);
+  const size_t n = shapes.size();
+  for (size_t round = 0; round < 2 * n; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    CandidateSets cos = {shapes[round % n], shapes[(round + 2) % n],
+                         thinned[(round + 1) % n], thinned[(round + 3) % n],
+                         thinned[round % n]};
+    // Odd rounds scan the reachability edges with the interval cutoff.
+    Rig rig = ExpandRig(ctx, q, cos, RigBuildOptions{},
+                        round % 2 == 1 ? &intervals : nullptr);
     for (QueryEdgeId e = 0; e < q.NumEdges(); ++e) {
-      const Bitmap& from = cos[q.Edge(e).from];
-      const std::vector<NodeId> to = cos[q.Edge(e).to].ToVector();
+      SCOPED_TRACE("edge " + std::to_string(e));
+      const QueryEdge& edge = q.Edge(e);
+      const std::span<const NodeId> from = rig.Cos(edge.from);
+      const std::span<const NodeId> to = rig.Cos(edge.to);
+      ASSERT_EQ(from.size(), cos[edge.from].Cardinality());
+      ASSERT_EQ(to.size(), cos[edge.to].Cardinality());
+      const OwnedRankRows back = rig.Transpose(e);
+      ASSERT_EQ(back.rows.size(), to.size());
+      std::vector<std::vector<NodeId>> want_back(to.size());
       uint64_t expected = 0;
-      from.ForEach([&](NodeId vp) {
+      for (uint32_t r = 0; r < from.size(); ++r) {
         std::vector<NodeId> want;
-        for (NodeId vq : to) {
-          if (g.HasEdge(vp, vq)) want.push_back(vq);
+        for (uint32_t t = 0; t < to.size(); ++t) {
+          if (ctx.EdgePairMatch(edge, from[r], to[t])) {
+            want.push_back(to[t]);
+            want_back[t].push_back(from[r]);
+          }
         }
         expected += want.size();
-        EXPECT_EQ(rig.Forward(e, vp).ToVector(), want) << "vp " << vp;
-      });
+        ASSERT_EQ(nodes(to, rig.Rows(e)[r]), want) << "vp " << from[r];
+      }
+      for (uint32_t t = 0; t < to.size(); ++t) {
+        ASSERT_EQ(nodes(from, back.rows[t]), want_back[t]) << "vq " << to[t];
+      }
       EXPECT_EQ(rig.EdgeCount(e), expected);
-      total += expected;
+      edges_seen[e] += expected;
     }
-    if (round == 0) {
-      EXPECT_GT(total, 0u);
-    }
+  }
+  for (QueryEdgeId e = 0; e < q.NumEdges(); ++e) {
+    EXPECT_GT(edges_seen[e], 0u) << "edge " << e << " never matched";
   }
 }
 

@@ -1,9 +1,26 @@
 #include "test_util.h"
 
+#include <algorithm>
 #include <functional>
 #include <utility>
 
 namespace rigpm::testing {
+
+int64_t RigRank(const Rig& rig, QueryNodeId q, NodeId v) {
+  const std::span<const NodeId> cos = rig.Cos(q);
+  auto it = std::lower_bound(cos.begin(), cos.end(), v);
+  return (it == cos.end() || *it != v) ? -1 : it - cos.begin();
+}
+
+std::vector<NodeId> RigPartners(const Rig& rig, const PatternQuery& q,
+                                QueryEdgeId e, NodeId vp) {
+  std::vector<NodeId> out;
+  const int64_t r = RigRank(rig, q.Edge(e).from, vp);
+  if (r < 0) return out;
+  const std::span<const NodeId> to = rig.Cos(q.Edge(e).to);
+  for (uint32_t t : rig.Rows(e)[r]) out.push_back(to[t]);
+  return out;
+}
 
 bool SlowReaches(const Graph& g, NodeId u, NodeId v) {
   // Seed with u's successors so that u ≺ u requires an actual cycle.

@@ -9,6 +9,7 @@
 #include "engine/gm_engine.h"
 #include "graph/graph.h"
 #include "query/pattern_query.h"
+#include "rig/rig.h"
 #include "server/catalog.h"
 
 namespace rigpm::testing {
@@ -65,6 +66,14 @@ bool SlowReaches(const Graph& g, NodeId u, NodeId v);
 /// Depth-limited reachability: a path of 1..max_hops edges from u to v.
 bool SlowReachesBounded(const Graph& g, NodeId u, NodeId v,
                         uint32_t max_hops);
+
+/// Rank of v in the RIG's cos(q), or -1 when v is not a candidate.
+int64_t RigRank(const Rig& rig, QueryNodeId q, NodeId v);
+
+/// Node ids of vp's RIG partners along query edge e, ascending (empty when
+/// vp is not in cos(e.from)).
+std::vector<NodeId> RigPartners(const Rig& rig, const PatternQuery& q,
+                                QueryEdgeId e, NodeId vp);
 
 /// A catalog whose only tenant, "default", serves `engine` (which must
 /// outlive the catalog), wired the way rigpm_serve wires a single graph:
