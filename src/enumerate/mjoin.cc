@@ -10,8 +10,10 @@ namespace rigpm {
 namespace {
 
 // Writes a ∩ b into `out`, which may alias `a`, and returns its length.
-// `a` must be the shorter input. A much longer `b` is galloped through
-// instead of merged.
+// `a` must be the shorter input. A `b` over 32 times longer is galloped
+// through instead of merged: on hq-bs 3% of intersections are that skewed
+// (3 ranks against 370 on average), and merging them too costs a sixth of
+// its `qps`. Ratios from 4 to 32 time alike there; 64 and up are slower.
 size_t Intersect(std::span<const uint32_t> a, std::span<const uint32_t> b,
                  uint32_t* out) {
   size_t n = 0;

@@ -84,7 +84,8 @@ class Rig {
   /// and evaluation can stop early (Section 4.3's early-termination win).
   bool AnyEmpty() const;
 
-  /// Approximate heap footprint.
+  /// Approximate heap footprint: candidate arrays and the rows each edge
+  /// stores in one direction. The transposes MJoin builds are not counted.
   size_t MemoryBytes() const;
 
   std::string Summary() const;
